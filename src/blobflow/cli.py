@@ -1,7 +1,7 @@
 """Command-line front end: run / converge / sample / selftest.
 
-Config files are flat INI (key = value under sections); unknown sections or
-keys are hard errors, and parse -> serialize -> parse is the identity. Thread
+Config files are flat INI; each key is one row of CONFIG_KEYS, unknown sections
+or keys are hard errors, and parse -> serialize -> parse is the identity. Thread
 caps are applied through environment variables before numpy is imported, so
 every heavy import in this module is deferred into the command bodies.
 
@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 from typing import Optional
 
 FAMILY_KINDS = ("heat", "porous_medium", "fast_diffusion", "height_constraint")
@@ -32,17 +32,64 @@ VELOCITY_KINDS = ("none", "quadratic")
 
 OUT_ENV_VAR = "BLOBFLOW_OUT"
 
-_SCHEMA = {
-    "family": ("kind", "m", "dimension"),
-    "kernel": ("kind", "effective_r", "order", "truncation_radius_multiple"),
-    "flow": ("epsilon", "beta", "t_final", "dt", "scheme", "record_every"),
-    "particles": ("n", "seed", "init", "alpha"),
-    "velocity": ("kind",),
-    "initial": ("kind", "t0", "sigma", "center", "half_width"),
-    "reference": ("kind", "sigma", "resolution"),
-    "output": ("directory",),
-    "grid": ("padding", "spacing_fraction", "node_budget"),
-}
+REQUIRED = object()  # default of a key that every config must set
+
+
+def _number_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _number_or_auto(raw: str) -> Optional[float]:
+    return None if raw == "auto" else float(raw)
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: section, name, SimConfig field, kind (float, int, str,
+    choices, _number_list or _number_or_auto), default, bounds > gt, >= ge, <= le."""
+
+    section: str
+    name: str
+    field: str
+    kind: object
+    default: object = None
+    gt: Optional[float] = None
+    ge: Optional[float] = None
+    le: Optional[float] = None
+
+
+CONFIG_KEYS = (
+    Key("family", "kind", "family_kind", FAMILY_KINDS, REQUIRED),
+    Key("family", "m", "m", float),
+    Key("family", "dimension", "dimension", int, 1, ge=1),
+    Key("kernel", "kind", "kernel_kind", KERNEL_KINDS, "gaussian"),
+    Key("kernel", "effective_r", "effective_r", float, gt=0.0),
+    Key("kernel", "order", "bump_order", int, 4, ge=3),
+    Key("kernel", "truncation_radius_multiple", "truncation_radius_multiple", float, 8.0, gt=0.0),
+    Key("flow", "epsilon", "epsilons", _number_list, REQUIRED, gt=0.0),
+    Key("flow", "beta", "beta", float, 0.5, gt=0.0),
+    Key("flow", "t_final", "t_final", float, REQUIRED, ge=0.0),
+    Key("flow", "dt", "dt", _number_or_auto, gt=0.0),
+    Key("flow", "scheme", "scheme", SCHEMES, "rk4"),
+    Key("flow", "record_every", "record_every", int, 1, ge=1),
+    Key("particles", "n", "n_particles", int, REQUIRED, ge=1),
+    Key("particles", "seed", "seed", int, 0, ge=0),
+    Key("particles", "init", "init_mode", INIT_MODES, "quantile"),
+    Key("particles", "alpha", "init_alpha", float, 0.0, ge=0.0),
+    Key("velocity", "kind", "velocity_kind", VELOCITY_KINDS, "none"),
+    Key("initial", "kind", "initial_kind", INITIAL_KINDS, "gaussian"),
+    Key("initial", "t0", "initial_t0", float, 0.05, gt=0.0),
+    Key("initial", "sigma", "initial_sigma", float, 1.0, gt=0.0),
+    Key("initial", "center", "initial_center", float, 0.0),
+    Key("initial", "half_width", "initial_half_width", float, 0.5, gt=0.0),
+    Key("reference", "kind", "reference_kind", REFERENCE_KINDS, "none"),
+    Key("reference", "sigma", "reference_sigma", float, 1.0, gt=0.0),
+    Key("reference", "resolution", "w1_resolution", int, 4096, ge=16),
+    Key("output", "directory", "output_dir", str, "out"),
+    Key("grid", "padding", "grid_padding", float, 6.0, gt=0.0),
+    Key("grid", "spacing_fraction", "grid_spacing_fraction", float, 0.25, gt=0.0, le=1.0),
+    Key("grid", "node_budget", "grid_node_budget", int, 20_000_000, ge=1000),
+)
 
 
 class ConfigError(Exception):
@@ -53,41 +100,51 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.messages))
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """One experiment, fully determined: family, kernel, schedule, particles,
-    drift, initial profile, reference, outputs and grid overrides."""
+def _annotation(key: Key):
+    kind = str if isinstance(key.kind, tuple) else key.kind
+    kind = {_number_list: tuple[float, ...], _number_or_auto: float}.get(kind, kind)
+    return Optional[kind] if key.default is None else kind
 
-    family_kind: str
-    m: Optional[float]
-    dimension: int
-    kernel_kind: str
-    effective_r: Optional[float]
-    bump_order: int
-    truncation_radius_multiple: float
-    epsilons: tuple[float, ...]
-    beta: float
-    t_final: float
-    dt: Optional[float]
-    scheme: str
-    record_every: int
-    n_particles: int
-    seed: int
-    init_mode: str
-    init_alpha: float
-    velocity_kind: str
-    initial_kind: str
-    initial_t0: float
-    initial_sigma: float
-    initial_center: float
-    initial_half_width: float
-    reference_kind: str
-    reference_sigma: float
-    w1_resolution: int
-    output_dir: str
-    grid_padding: float
-    grid_spacing_fraction: float
-    grid_node_budget: int
+
+SimConfig = make_dataclass(
+    "SimConfig", [(key.field, _annotation(key)) for key in CONFIG_KEYS], frozen=True
+)
+SimConfig.__module__ = __name__
+SimConfig.__doc__ = "One experiment, fully determined: one field per CONFIG_KEYS row."
+
+
+def _read(key: Key, raw: Optional[str], errors: list) -> object:
+    """The value of one key from its raw text (None when unset or blank);
+    appends a message to errors and returns None if the text is invalid."""
+    where = f"[{key.section}] {key.name}"
+    if raw is None:
+        if key.default is REQUIRED:
+            errors.append(f"{where} is required")
+            return None
+        return key.default
+    if isinstance(key.kind, tuple):
+        if raw in key.kind:
+            return raw
+        errors.append(f"{where} = {raw!r}; expected one of {', '.join(key.kind)}")
+        return None
+    try:
+        value = key.kind(raw)
+    except ValueError:
+        noun = {int: "an integer", _number_list: "a number list"}.get(key.kind)
+        errors.append(f"{where} = {raw!r} is not {noun or 'a number'}")
+        return None
+    if isinstance(value, tuple):
+        if not value:
+            errors.append(f"{where} list is empty")
+        elif any(v <= key.gt for v in value):
+            errors.append(f"[{key.section}] every {key.name} must be positive")
+    elif key.gt is not None and value is not None and value <= key.gt:
+        errors.append(f"{where} must be > {key.gt}, got {value}")
+    elif key.ge is not None and value < key.ge:
+        errors.append(f"{where} must be >= {key.ge}, got {value}")
+    elif key.le is not None and value > key.le:
+        errors.append(f"{where} must lie in ({key.gt:g}, {key.le:g}]")
+    return value
 
 
 def parse_config(path: str) -> SimConfig:
@@ -106,142 +163,37 @@ def parse_config_text(text: str) -> SimConfig:
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from exc
 
+    known = {(key.section, key.name) for key in CONFIG_KEYS}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in known}:
             errors.append(f"unknown section [{section}]")
             continue
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                errors.append(f"unknown key {key!r} in section [{section}]")
+        for name in cp[section]:
+            if (section, name) not in known:
+                errors.append(f"unknown key {name!r} in section [{section}]")
     if errors:
         raise ConfigError(errors)
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            value = cp.get(section, key).strip()
-            return value if value else default
-        return default
+    v = {}
+    for key in CONFIG_KEYS:
+        raw = cp.get(key.section, key.name, fallback="").strip() or None
+        v[key.field] = _read(key, raw, errors)
+        if key.field == "dimension":  # [family] is complete: report m with it
+            kind = v["family_kind"]
+            if kind in POWER_FAMILIES and v["m"] is None:
+                errors.append(f"[family] m is required for kind = {kind}")
+            if kind in ("heat", "height_constraint") and v["m"] is not None:
+                errors.append(f"[family] m is not a parameter of kind = {kind}")
 
-    def as_float(section, key, default=None, low=None, low_strict=True):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            errors.append(f"[{section}] {key} = {raw!r} is not a number")
-            return default
-        if low is not None and (value <= low if low_strict else value < low):
-            op = ">" if low_strict else ">="
-            errors.append(f"[{section}] {key} must be {op} {low}, got {value}")
-        return value
-
-    def as_int(section, key, default=None, low=None):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            errors.append(f"[{section}] {key} = {raw!r} is not an integer")
-            return default
-        if low is not None and value < low:
-            errors.append(f"[{section}] {key} must be >= {low}, got {value}")
-        return value
-
-    def as_choice(section, key, choices, default=None):
-        raw = get(section, key, default)
-        if raw is None:
-            errors.append(f"[{section}] {key} is required")
-            return None
-        if raw not in choices:
-            errors.append(
-                f"[{section}] {key} = {raw!r}; expected one of {', '.join(choices)}"
-            )
-            return None
-        return raw
-
-    family_kind = as_choice("family", "kind", FAMILY_KINDS)
-    m = as_float("family", "m")
-    dimension = as_int("family", "dimension", default=1, low=1)
-    if family_kind in POWER_FAMILIES and m is None:
-        errors.append(f"[family] m is required for kind = {family_kind}")
-    if family_kind in ("heat", "height_constraint") and m is not None:
-        errors.append(f"[family] m is not a parameter of kind = {family_kind}")
-
-    kernel_kind = as_choice("kernel", "kind", KERNEL_KINDS, default="gaussian")
-    effective_r = as_float("kernel", "effective_r", low=0.0)
-    bump_order = as_int("kernel", "order", default=4, low=3)
-    trunc = as_float("kernel", "truncation_radius_multiple", default=8.0, low=0.0)
-
-    raw_eps = get("flow", "epsilon")
-    epsilons: tuple[float, ...] = ()
-    if raw_eps is None:
-        errors.append("[flow] epsilon is required")
-    else:
-        try:
-            epsilons = tuple(float(tok) for tok in raw_eps.replace(",", " ").split())
-        except ValueError:
-            errors.append(f"[flow] epsilon = {raw_eps!r} is not a number list")
-        if epsilons and any(e <= 0.0 for e in epsilons):
-            errors.append("[flow] every epsilon must be positive")
-        if not epsilons:
-            errors.append("[flow] epsilon list is empty")
-
-    beta = as_float("flow", "beta", default=0.5, low=0.0)
-    t_final = as_float("flow", "t_final", low=0.0, low_strict=False)
-    if t_final is None:
-        errors.append("[flow] t_final is required")
-    raw_dt = get("flow", "dt", "auto")
-    if raw_dt == "auto":
-        dt = None
-    else:
-        dt = as_float("flow", "dt", low=0.0)
-        if dt is None and not any("dt" in e for e in errors):
-            errors.append(f"[flow] dt = {raw_dt!r}; expected a positive number or auto")
-    scheme = as_choice("flow", "scheme", SCHEMES, default="rk4")
-    record_every = as_int("flow", "record_every", default=1, low=1)
-
-    n_particles = as_int("particles", "n", low=1)
-    if n_particles is None:
-        errors.append("[particles] n is required")
-    seed = as_int("particles", "seed", default=0, low=0)
-    init_mode = as_choice("particles", "init", INIT_MODES, default="quantile")
-    init_alpha = as_float("particles", "alpha", default=0.0, low=0.0, low_strict=False)
-
-    velocity_kind = as_choice("velocity", "kind", VELOCITY_KINDS, default="none")
-
-    initial_kind = as_choice("initial", "kind", INITIAL_KINDS, default="gaussian")
-    initial_t0 = as_float("initial", "t0", default=0.05, low=0.0)
-    initial_sigma = as_float("initial", "sigma", default=1.0, low=0.0)
-    initial_center = as_float("initial", "center", default=0.0)
-    initial_half_width = as_float("initial", "half_width", default=0.5, low=0.0)
-
-    reference_kind = as_choice("reference", "kind", REFERENCE_KINDS, default="none")
-    reference_sigma = as_float("reference", "sigma", default=1.0, low=0.0)
-    w1_resolution = as_int("reference", "resolution", default=4096, low=16)
-
-    output_dir = get("output", "directory", "out")
-
-    grid_padding = as_float("grid", "padding", default=6.0, low=0.0)
-    grid_spacing_fraction = as_float("grid", "spacing_fraction", default=0.25, low=0.0)
-    if grid_spacing_fraction is not None and grid_spacing_fraction > 1.0:
-        errors.append("[grid] spacing_fraction must lie in (0, 1]")
-    grid_node_budget = as_int("grid", "node_budget", default=20_000_000, low=1000)
-
-    if reference_kind == "self_similar" and initial_kind not in (
-        "heat_kernel",
-        "barenblatt",
-    ):
+    reference, initial = v["reference_kind"], v["initial_kind"]
+    if reference == "self_similar" and initial not in ("heat_kernel", "barenblatt"):
         errors.append(
             "[reference] kind = self_similar requires [initial] kind heat_kernel "
             "or barenblatt (the reference continues the initial profile in time)"
         )
-    if reference_kind == "steady_state" and velocity_kind == "none":
-        errors.append(
-            "[reference] kind = steady_state requires a confining [velocity]"
-        )
-    if initial_kind == "barenblatt" and family_kind not in POWER_FAMILIES:
+    if reference == "steady_state" and v["velocity_kind"] == "none":
+        errors.append("[reference] kind = steady_state requires a confining [velocity]")
+    if initial == "barenblatt" and v["family_kind"] not in POWER_FAMILIES:
         errors.append(
             "[initial] kind = barenblatt requires a porous_medium or "
             "fast_diffusion family"
@@ -249,111 +201,38 @@ def parse_config_text(text: str) -> SimConfig:
 
     if errors:
         raise ConfigError(errors)
+    return SimConfig(**v)
 
-    return SimConfig(
-        family_kind=family_kind,
-        m=m,
-        dimension=dimension,
-        kernel_kind=kernel_kind,
-        effective_r=effective_r,
-        bump_order=bump_order,
-        truncation_radius_multiple=trunc,
-        epsilons=epsilons,
-        beta=beta,
-        t_final=t_final,
-        dt=dt,
-        scheme=scheme,
-        record_every=record_every,
-        n_particles=n_particles,
-        seed=seed,
-        init_mode=init_mode,
-        init_alpha=init_alpha,
-        velocity_kind=velocity_kind,
-        initial_kind=initial_kind,
-        initial_t0=initial_t0,
-        initial_sigma=initial_sigma,
-        initial_center=initial_center,
-        initial_half_width=initial_half_width,
-        reference_kind=reference_kind,
-        reference_sigma=reference_sigma,
-        w1_resolution=w1_resolution,
-        output_dir=output_dir,
-        grid_padding=grid_padding,
-        grid_spacing_fraction=grid_spacing_fraction,
-        grid_node_budget=grid_node_budget,
-    )
+
+def _text(key: Key, value) -> Optional[str]:
+    """Canonical text of one value; None leaves the key out."""
+    if value is None:
+        return "auto" if key.kind is _number_or_auto else None
+    if key.kind is _number_list:
+        return ", ".join(repr(float(e)) for e in value)
+    return repr(float(value)) if key.kind in (float, _number_or_auto) else f"{value}"
+
+
+def _config_echo(cfg: SimConfig) -> dict:
+    """{section: {key: canonical text}}, in table order."""
+    echo = {key.section: {} for key in CONFIG_KEYS}
+    for key in CONFIG_KEYS:
+        text = _text(key, getattr(cfg, key.field))
+        if text is not None:
+            echo[key.section][key.name] = text
+    return echo
 
 
 def serialize_config(cfg: SimConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-
-    def num(v):
-        return repr(float(v))
-
-    lines = ["[family]", f"kind = {cfg.family_kind}"]
-    if cfg.m is not None:
-        lines.append(f"m = {num(cfg.m)}")
-    lines += [f"dimension = {cfg.dimension}", ""]
-
-    lines += ["[kernel]", f"kind = {cfg.kernel_kind}"]
-    if cfg.effective_r is not None:
-        lines.append(f"effective_r = {num(cfg.effective_r)}")
-    lines += [
-        f"order = {cfg.bump_order}",
-        f"truncation_radius_multiple = {num(cfg.truncation_radius_multiple)}",
-        "",
-    ]
-
-    lines += [
-        "[flow]",
-        f"epsilon = {', '.join(num(e) for e in cfg.epsilons)}",
-        f"beta = {num(cfg.beta)}",
-        f"t_final = {num(cfg.t_final)}",
-        f"dt = {'auto' if cfg.dt is None else num(cfg.dt)}",
-        f"scheme = {cfg.scheme}",
-        f"record_every = {cfg.record_every}",
-        "",
-        "[particles]",
-        f"n = {cfg.n_particles}",
-        f"seed = {cfg.seed}",
-        f"init = {cfg.init_mode}",
-        f"alpha = {num(cfg.init_alpha)}",
-        "",
-        "[velocity]",
-        f"kind = {cfg.velocity_kind}",
-        "",
-        "[initial]",
-        f"kind = {cfg.initial_kind}",
-        f"t0 = {num(cfg.initial_t0)}",
-        f"sigma = {num(cfg.initial_sigma)}",
-        f"center = {num(cfg.initial_center)}",
-        f"half_width = {num(cfg.initial_half_width)}",
-        "",
-        "[reference]",
-        f"kind = {cfg.reference_kind}",
-        f"sigma = {num(cfg.reference_sigma)}",
-        f"resolution = {cfg.w1_resolution}",
-        "",
-        "[output]",
-        f"directory = {cfg.output_dir}",
-        "",
-        "[grid]",
-        f"padding = {num(cfg.grid_padding)}",
-        f"spacing_fraction = {num(cfg.grid_spacing_fraction)}",
-        f"node_budget = {cfg.grid_node_budget}",
-        "",
-    ]
+    lines = []
+    for section, items in _config_echo(cfg).items():
+        lines += [f"[{section}]", *(f"{k} = {text}" for k, text in items.items()), ""]
     return "\n".join(lines)
 
 
 def config_hash(cfg: SimConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
-
-
-def _config_echo(cfg: SimConfig) -> dict:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_string(serialize_config(cfg))
-    return {section: dict(cp[section]) for section in cp.sections()}
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +268,6 @@ def _kernel(cfg: SimConfig, epsilon: float):
         order=cfg.bump_order,
         effective_r=cfg.effective_r,
     )
-
-
-def _schedule(cfg: SimConfig, kernel):
-    from .reference import DeltaSchedule
-
-    r = kernel.effective_r
-    d = cfg.dimension
-    bound = (r - d) / (r - 1.0)
-    try:
-        return DeltaSchedule(beta=cfg.beta, effective_r=r, dimension=d)
-    except ValueError as exc:
-        raise ConfigError(
-            [
-                f"[flow] beta = {cfg.beta} violates the schedule bound "
-                f"(r - d)/(r - 1) = {bound:.6g} with r = {r}, d = {d}: {exc}"
-            ]
-        ) from exc
 
 
 def _initial_density(cfg: SimConfig):
@@ -473,13 +335,23 @@ def build_runspec(cfg: SimConfig, epsilon: float):
     from . import dynamics as dyn
     from .convex_energy import RegularizedEnergy
     from .ensemble import prepare_initial_particles
+    from .reference import DeltaSchedule
 
     try:
         family = _family(cfg)
     except ValueError as exc:
         raise ConfigError([f"[family] {exc}"]) from exc
     kernel = _kernel(cfg, epsilon)
-    schedule = _schedule(cfg, kernel)
+    r, d = kernel.effective_r, cfg.dimension
+    try:
+        schedule = DeltaSchedule(beta=cfg.beta, effective_r=r, dimension=d)
+    except ValueError as exc:
+        raise ConfigError(
+            [
+                f"[flow] beta = {cfg.beta} violates the schedule bound (r - d)/(r - 1)"
+                f" = {(r - d) / (r - 1.0):.6g} with r = {r}, d = {d}: {exc}"
+            ]
+        ) from exc
     delta = schedule.delta_of(epsilon)
     reg = RegularizedEnergy(family=family, delta=delta, epsilon=epsilon)
     try:
@@ -520,20 +392,6 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _record_dict(rec) -> dict:
-    return {
-        "t": rec.t,
-        "F_eps": rec.f_eps,
-        "entropy_moll": rec.entropy_moll,
-        "M2": rec.m2,
-        "diss_residual": rec.diss_residual,
-        "min_cross_term": rec.min_cross_term,
-        "lipschitz_estimate": rec.lipschitz_estimate,
-        "w1_to_reference": rec.w1_to_reference,
-        "exchange_residual": rec.exchange_residual,
-    }
-
-
 def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool) -> dict:
     """One simulation with streamed diagnostics; returns the summary dict."""
     from . import dynamics as dyn
@@ -549,7 +407,7 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool) -> d
         "config_sha256": config_hash(cfg),
         "config": _config_echo(cfg),
         "epsilon": epsilon,
-        "delta": _schedule(cfg, _kernel(cfg, epsilon)).delta_of(epsilon),
+        "delta": spec.reg.delta,
         "outputs": ["diagnostics.csv", "snapshot_initial.csv"],
     }
     try:
@@ -568,6 +426,7 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool) -> d
         _write_summary(out_dir, summary)
         raise
     wall = time.perf_counter() - started
+    final = trajectory.records[-1]
 
     save_snapshot(
         trajectory.ensembles[-1], os.path.join(out_dir, "snapshot_final.csv")
@@ -579,11 +438,10 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool) -> d
             "dt": trajectory.dt,
             "c_eps": trajectory.c_eps,
             "n_records": len(trajectory.records),
-            "final": _record_dict(trajectory.records[-1]),
+            "final": dict(zip(final.CSV_HEADER.split(","), final.values())),
         }
     )
     _write_summary(out_dir, summary)
-    final = trajectory.records[-1]
     w1_text = "" if final.w1_to_reference is None else f", W1 {final.w1_to_reference:.5f}"
     _say(
         quiet,

@@ -387,24 +387,22 @@ class DiagnosticsRecord:
         "lipschitz_estimate,w1_to_reference,exchange_residual"
     )
 
-    def csv_row(self) -> str:
-        def num(v):
-            return repr(float(v))
-
-        opt = lambda v: "" if v is None else num(v)
-        return ",".join(
-            [
-                num(self.t),
-                num(self.f_eps),
-                num(self.entropy_moll),
-                num(self.m2),
-                num(self.diss_residual),
-                num(self.min_cross_term),
-                num(self.lipschitz_estimate),
-                opt(self.w1_to_reference),
-                opt(self.exchange_residual),
-            ]
+    def values(self) -> tuple:
+        """The CSV columns, in CSV_HEADER order."""
+        return (
+            self.t,
+            self.f_eps,
+            self.entropy_moll,
+            self.m2,
+            self.diss_residual,
+            self.min_cross_term,
+            self.lipschitz_estimate,
+            self.w1_to_reference,
+            self.exchange_residual,
         )
+
+    def csv_row(self) -> str:
+        return ",".join("" if v is None else repr(float(v)) for v in self.values())
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,22 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blobflow import selftest
 from blobflow.cli import (
+    CONFIG_KEYS,
     ConfigError,
     OUT_ENV_VAR,
     config_hash,
     main,
+    parse_config,
     parse_config_text,
     serialize_config,
 )
@@ -404,3 +410,71 @@ def test_selftest_cli_reports_failures(capsys):
         assert "checks passed" in out
     finally:
         selftest.clear_injections()
+
+
+# ---------------------------------------------------------------------------
+# the config table: error texts, canonical hashes, docs, import cost
+
+ROOT = Path(__file__).resolve().parents[1]
+FLOW = "epsilon = 0.2\nbeta = 0.5\nt_final = 0.02\ndt = 0.002"
+
+
+@pytest.mark.parametrize(
+    "overrides, first_message",
+    [
+        ({"initial": "sigma = abc"}, "[initial] sigma = 'abc' is not a number"),
+        ({"particles": "n = 2.5"}, "[particles] n = '2.5' is not an integer"),
+        ({"flow": "epsilon = 0.2\nt_final = x"}, "[flow] t_final = 'x' is not a number"),
+        ({"flow": "epsilon = 0.2\nbeta = 0\nt_final = 0.02"}, "[flow] beta must be > 0.0, got 0.0"),
+        ({"particles": "n = 24\nalpha = -1"}, "[particles] alpha must be >= 0.0, got -1.0"),
+        ({"flow": FLOW + "\nrecord_every = 0"}, "[flow] record_every must be >= 1, got 0"),
+        ({"grid": "node_budget = 999"}, "[grid] node_budget must be >= 1000, got 999"),
+        ({"flow": FLOW + "\nscheme = leapfrog"}, "[flow] scheme = 'leapfrog'; expected one of rk4, euler"),
+        ({"grid": "spacing_fraction = 1.5"}, "[grid] spacing_fraction must lie in (0, 1]"),
+        ({"flow": "epsilon = x\nt_final = 0.02"}, "[flow] epsilon = 'x' is not a number list"),
+        ({"flow": "epsilon = ,\nt_final = 0.02"}, "[flow] epsilon list is empty"),
+        ({"flow": "epsilon = -1, 0.1\nt_final = 0.02"}, "[flow] every epsilon must be positive"),
+        ({"flow": "epsilon = 0.2\nt_final = 0.02\ndt = 0"}, "[flow] dt must be > 0.0, got 0.0"),
+        ({"flow": "epsilon = 0.2\nt_final = 0.02\ndt = x"}, "[flow] dt = 'x' is not a number"),
+    ],
+)
+def test_first_error_message_for_a_bad_value(overrides, first_message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(base_config(**overrides))
+    assert exc.value.messages[0] == first_message
+
+
+@pytest.mark.parametrize(
+    "name, sha256",
+    [
+        ("heat_convergence", "2737e2b23d6cf3ecf0171cdfdadf3f8cf724fa68a845760f491e1af9a64240f1"),
+        ("height_saturation", "7aa5b752edcf1d636ce4edb59fa33aa59f2518051adad21e113c4040dd3ef5eb"),
+        ("pme_convergence", "e2d585da8ff565271d10e0e2a46fa5776026da79eacf3839ad73723297732e2a"),
+        ("sample_gaussian", "da6132f229520fd7e65e49cf08e9eeed127515e60463b36dc809a06b181dfb3e"),
+    ],
+)
+def test_bundled_config_hashes_are_pinned(name, sha256):
+    # every summary.json embeds this hash; a changed canonical text would
+    # break the link from old outputs back to their configs
+    assert config_hash(parse_config(str(ROOT / "configs" / f"{name}.ini"))) == sha256
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # --threads sets the thread-pool variables, which numpy reads on import
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, blobflow.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_readme_configuration_table_names_every_key():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in table.splitlines():
+        cells = line.split(" | ")
+        if len(cells) != 2 or not cells[0].startswith("| `["):
+            continue
+        section = cells[0].strip("|` []")
+        for item in re.sub(r"\([^)]*\)", "", cells[1]).split(","):
+            documented.add((section, re.search(r"`(\w+)`", item).group(1)))
+    assert documented == {(key.section, key.name) for key in CONFIG_KEYS}
