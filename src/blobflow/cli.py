@@ -156,7 +156,9 @@ def parse_config(path: str) -> SimConfig:
 
 
 def parse_config_text(text: str) -> SimConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name the default section "\n", so [DEFAULT] is an
+    # ordinary (unknown) section and its keys are not copied into the others
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     errors: list[str] = []
     try:
         cp.read_string(text)

@@ -189,58 +189,54 @@ def _energy_derivative(family: EnergyFamily, b):
     return np.zeros_like(np.asarray(b, dtype=float))
 
 
+def _stationary(family: EnergyFamily, alpha: float, beta: float, r):
+    """The j >= 0 with alpha j + beta f'(j) = r, lane-wise over a flat r.
+
+    Both maps of f_reg solve this one monotone equation: the prox J_delta(a)
+    with (alpha, beta, r) = (1, delta, a), and the proximal variable of
+    (f_reg*)'(b) with (delta, 1 + delta^2, b). Power laws write it as
+    alpha j + c j^(m-1) = r with c = beta m / (m - 1), negative for fast
+    diffusion. Solved by _newton_bisect on a bracket holding the root.
+    """
+    scale = np.maximum(1.0, np.abs(r))
+    if family.kind == HEAT:
+
+        def g_heat(j):
+            return alpha * j + beta * np.log(j) - r, alpha + beta / j
+
+        return _newton_bisect(g_heat, np.zeros_like(r), np.maximum(1.0, r / alpha), scale)
+
+    m = family.m
+    c = beta * m / (m - 1.0)
+    if family.kind == POROUS_MEDIUM:
+        live = r > 0.0  # the root is 0 where r <= 0
+        lo, hi = np.zeros_like(r), r / alpha
+    else:  # fast diffusion: (-c / alpha)^(1 / (2 - m)) is the root at r = 0
+        live = slice(None)
+        lo = np.full_like(r, 1e-300)
+        hi = np.maximum(r, 0.0) / alpha + (-c / alpha) ** (1.0 / (2.0 - m))
+    rhs = r[live]
+
+    def g_power(j):
+        return alpha * j + c * j ** (m - 1.0) - rhs, alpha + c * (m - 1.0) * j ** (m - 2.0)
+
+    out = np.zeros_like(r)
+    out[live] = _newton_bisect(g_power, lo[live], hi[live], scale[live])
+    return out
+
+
 def prox(family: EnergyFamily, delta: float, a):
     """Proximal point J_delta(a) = argmin_b f(b) + (b - a)^2 / (2 delta).
 
-    Solved lane-wise from the stationarity condition with a bracketing
-    Newton iteration (tolerance 1e-12 on the residual, at most 200 steps).
+    The height constraint clips to [0, 1]; the other families solve their
+    stationarity condition with _stationary.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     arr, scalar = _prepare(a)
-    flat = arr.ravel()
-    k = family.kind
-
-    if k == HEIGHT_CONSTRAINT:
+    if family.kind == HEIGHT_CONSTRAINT:
         return _finish(np.clip(arr, 0.0, 1.0), scalar)
-
-    scale = np.maximum(1.0, np.abs(flat))
-    if k == HEAT:
-        # residual delta*log b + b - a, increasing in b
-        def g_heat(b):
-            return delta * np.log(b) + b - flat, delta / b + 1.0
-
-        lo = np.zeros_like(flat)
-        hi = np.maximum(flat, 1.0)
-        out = _newton_bisect(g_heat, lo, hi, scale)
-    elif k == POROUS_MEDIUM:
-        m = family.m
-        c = delta * m / (m - 1.0)
-        pos = flat > 0.0
-        out = np.zeros_like(flat)
-        if pos.any():
-            sub = flat[pos]
-
-            def g_pme(b):
-                return (
-                    b + c * b ** (m - 1.0) - sub,
-                    1.0 + c * (m - 1.0) * b ** (m - 2.0),
-                )
-
-            out[pos] = _newton_bisect(
-                g_pme, np.zeros_like(sub), sub, np.maximum(1.0, sub)
-            )
-    else:
-        m = family.m
-        c = delta * m / (1.0 - m)  # b - a = c * b**(m-1), c > 0
-
-        def g_fd(b):
-            return b - c * b ** (m - 1.0) - flat, 1.0 + c * (1.0 - m) * b ** (m - 2.0)
-
-        t = c ** (1.0 / (2.0 - m))  # root when a = 0
-        lo = np.full_like(flat, 1e-300)
-        hi = np.maximum(flat, 0.0) + t
-        out = _newton_bisect(g_fd, lo, hi, scale)
+    out = _stationary(family, 1.0, delta, arr.ravel())
     return _finish(out.reshape(arr.shape), scalar)
 
 
@@ -283,17 +279,13 @@ def reg_conjugate_derivative(reg: RegularizedEnergy, b):
 
     Inverted through the proximal variable: with j = J_delta(a) the pair
     satisfies a = j + delta f'(j) and b = delta a + f'(j), so j solves the
-    scalar monotone equation delta j + (1 + delta^2) f'(j) = b, after which
-    a = j + delta f'(j). The height constraint inverts its piecewise-linear
-    derivative directly.
+    equation of _stationary with alpha = delta and beta = 1 + delta^2. The
+    height constraint inverts its piecewise-linear derivative directly.
     """
     arr, scalar = _prepare(b)
     delta = reg.delta
-    fam = reg.family
-    b0 = reg.derivative_at_zero
-    k = fam.kind
 
-    if k == HEIGHT_CONSTRAINT:
+    if reg.family.kind == HEIGHT_CONSTRAINT:
         # f_reg'(a) = delta a on [0,1], then slope delta + 1/delta
         inner = arr / delta
         outer = (delta * arr + 1.0) / (delta * delta + 1.0)
@@ -301,42 +293,11 @@ def reg_conjugate_derivative(reg: RegularizedEnergy, b):
         return _finish(out, scalar)
 
     flat = arr.ravel()
-    act = flat > b0
+    act = flat > reg.derivative_at_zero
     out = np.zeros_like(flat)
     if act.any():
-        bb = flat[act]
-        cpl = 1.0 + delta * delta
-        scale = np.maximum(1.0, np.abs(bb))
-        if k == HEAT:
-
-            def g_heat(j):
-                return delta * j + cpl * np.log(j) - bb, delta + cpl / j
-
-            lo = np.zeros_like(bb)
-            hi = np.maximum(1.0, bb / delta)
-            j = _newton_bisect(g_heat, lo, hi, scale)
-        elif k == POROUS_MEDIUM:
-            m = fam.m
-            c = cpl * m / (m - 1.0)
-
-            def g_pme(j):
-                return delta * j + c * j ** (m - 1.0) - bb, delta + c * (m - 1.0) * j ** (m - 2.0)
-
-            lo = np.zeros_like(bb)
-            hi = bb / delta
-            j = _newton_bisect(g_pme, lo, hi, scale)
-        else:
-            m = fam.m
-            c = cpl * m / (1.0 - m)
-
-            def g_fd(j):
-                return delta * j - c * j ** (m - 1.0) - bb, delta + c * (1.0 - m) * j ** (m - 2.0)
-
-            t = (c / delta) ** (1.0 / (2.0 - m))
-            lo = np.full_like(bb, 1e-300)
-            hi = np.maximum(bb, 0.0) / delta + t
-            j = _newton_bisect(g_fd, lo, hi, scale)
-        out[act] = j + delta * _energy_derivative(fam, j)
+        j = _stationary(reg.family, delta, 1.0 + delta * delta, flat[act])
+        out[act] = j + delta * _energy_derivative(reg.family, j)
     return _finish(out.reshape(arr.shape), scalar)
 
 

@@ -108,20 +108,26 @@ def _amplitude(k: MollifierKernel, d: int) -> float:
     return _bump_constant(d, k.order) * k.epsilon ** (-d)
 
 
-def _radial_terms(k: MollifierKernel, d: int, r2, with_factor: bool):
-    """phi_eps and the factor c with grad phi_eps(x) = c x, both as functions
-    of r2 = |x|^2 in R^d; c is None unless with_factor."""
+def _radial_terms(k: MollifierKernel, d: int, r2, order: int = 0) -> tuple:
+    """The one definition of each kernel profile: phi_eps as a function of
+    r2 = |x|^2 in R^d, then, up to the given order, the factor c with
+    grad phi_eps(x) = c x and its derivative dc/d(r2)."""
     eps2 = k.epsilon * k.epsilon
+    amp = _amplitude(k, d)
     if k.kind == GAUSSIAN:
         cut = k.support_radius
-        val = np.where(r2 <= cut * cut, _amplitude(k, d) * np.exp(-0.5 * r2 / eps2), 0.0)
-        return val, (-val / eps2 if with_factor else None)
-    u2 = r2 / eps2
-    core = np.where(u2 < 1.0, 1.0 - u2, 0.0)
-    val = _amplitude(k, d) * core**k.order
-    if not with_factor:
-        return val, None
-    return val, _amplitude(k, d) * k.order * core ** (k.order - 1) * (-2.0 / eps2)
+        val = np.where(r2 <= cut * cut, amp * np.exp(-0.5 * r2 / eps2), 0.0)
+        terms = (lambda: val, lambda: -val / eps2, lambda: val / (2.0 * eps2 * eps2))
+    else:
+        q = k.order
+        u2 = r2 / eps2
+        core = np.where(u2 < 1.0, 1.0 - u2, 0.0)
+        terms = (
+            lambda: amp * core**q,
+            lambda: amp * q * core ** (q - 1) * (-2.0 / eps2),
+            lambda: amp * q * (q - 1) * core ** (q - 2) * (2.0 / (eps2 * eps2)),
+        )
+    return tuple(term() for term in terms[: order + 1])
 
 
 def _squared_norm(x: np.ndarray) -> np.ndarray:
@@ -133,15 +139,13 @@ def _squared_norm(x: np.ndarray) -> np.ndarray:
 def kernel_value(k: MollifierKernel, x):
     """phi_eps(x) for points in the last axis: x has shape (..., d)."""
     x = np.asarray(x, dtype=float)
-    r2 = _squared_norm(x)
-    return _radial_terms(k, x.shape[-1], r2, False)[0]
+    return _radial_terms(k, x.shape[-1], _squared_norm(x))[0]
 
 
 def kernel_gradient(k: MollifierKernel, x):
     """grad phi_eps(x), shape (..., d)."""
     x = np.asarray(x, dtype=float)
-    r2 = _squared_norm(x)
-    _, fac = _radial_terms(k, x.shape[-1], r2, True)
+    _, fac = _radial_terms(k, x.shape[-1], _squared_norm(x), 1)
     return x * fac[..., None]
 
 
@@ -248,7 +252,7 @@ class GridWindow:
         r2 = offsets[0] * offsets[0]
         for off in offsets[1:]:
             r2 = r2 + off * off
-        val, fac = _radial_terms(self.kernel, d, r2, with_factor=True)
+        val, fac = _radial_terms(self.kernel, d, r2, 1)
         flat = np.broadcast_to(flat, r2.shape).ravel()
         return rows, flat, offsets, np.where(on_grid, val, 0.0), np.where(on_grid, fac, 0.0)
 
@@ -277,48 +281,22 @@ class GridWindow:
 
 
 def radial_profile(k: MollifierKernel, d: int):
-    """g, g', g'' of the radial profile phi_eps(x) = g(|x|), as callables."""
-    amp = _amplitude(k, d)
-    eps = k.epsilon
-    if k.kind == GAUSSIAN:
-        cut = k.support_radius
-
-        def g(s):
-            s = np.asarray(s, dtype=float)
-            v = amp * np.exp(-0.5 * (s / eps) ** 2)
-            return np.where(s <= cut, v, 0.0)
-
-        def g1(s):
-            s = np.asarray(s, dtype=float)
-            return -s / eps**2 * g(s)
-
-        def g2(s):
-            s = np.asarray(s, dtype=float)
-            return (s**2 / eps**4 - 1.0 / eps**2) * g(s)
-
-        return g, g1, g2
-
-    q = k.order
+    """g, g', g'' of the radial profile phi_eps(x) = g(|x|), as callables:
+    g(s) = phi(s^2), g'(s) = s c(s^2) and g''(s) = c + 2 s^2 dc/d(r2), in
+    the terms of _radial_terms."""
 
     def g(s):
         s = np.asarray(s, dtype=float)
-        u2 = (s / eps) ** 2
-        core = np.where(u2 < 1.0, 1.0 - u2, 0.0)
-        return amp * core**q
+        return _radial_terms(k, d, s * s)[0]
 
     def g1(s):
         s = np.asarray(s, dtype=float)
-        u2 = (s / eps) ** 2
-        core = np.where(u2 < 1.0, 1.0 - u2, 0.0)
-        return amp * q * core ** (q - 1) * (-2.0 * s / eps**2)
+        return s * _radial_terms(k, d, s * s, 1)[1]
 
     def g2(s):
         s = np.asarray(s, dtype=float)
-        u2 = (s / eps) ** 2
-        core = np.where(u2 < 1.0, 1.0 - u2, 0.0)
-        t1 = q * (q - 1) * core ** (q - 2) * (4.0 * s**2 / eps**4)
-        t2 = -2.0 * q * core ** (q - 1) / eps**2
-        return amp * np.where(u2 < 1.0, t1 + t2, 0.0)
+        _, c, dc = _radial_terms(k, d, s * s, 2)
+        return c + 2.0 * s * s * dc
 
     return g, g1, g2
 
@@ -341,8 +319,8 @@ def kernel_norms(k: MollifierKernel, d: int) -> KernelNorms:
     """Norms entering the velocity-field Lipschitz constant.
 
     Computed by radial quadrature of the profile; for a radial function the
-    Hessian has eigenvalues g''(s) (radial, once) and g'(s)/s (tangential,
-    d-1 times), so |D^2 phi|_F = sqrt(g''^2 + (d-1)(g'/s)^2).
+    Hessian has eigenvalues g''(s) (radial, once) and g'(s)/s = c(s^2)
+    (tangential, d-1 times), so |D^2 phi|_F = sqrt(g''^2 + (d-1) c^2).
     """
     g, g1, g2 = radial_profile(k, d)
     area = _surface_area(d)
@@ -353,9 +331,7 @@ def kernel_norms(k: MollifierKernel, d: int) -> KernelNorms:
     )
 
     def hess_density(s):
-        if s == 0.0:
-            return 0.0
-        tang = g1(s) / s
+        tang = _radial_terms(k, d, s * s, 1)[1]
         return area * s ** (d - 1) * math.sqrt(g2(s) ** 2 + (d - 1) * tang**2)
 
     hess_l1, _ = quad(hess_density, 0.0, rad, limit=200)
@@ -383,7 +359,7 @@ def validate_kernel(k: MollifierKernel, d: int, tol: float = 1e-8) -> KernelRepo
     Never raises: all violations are collected in the report.
     """
     failures: list[str] = []
-    g, g1, _ = radial_profile(k, d)
+    g = radial_profile(k, d)[0]
     area = _surface_area(d)
     rad = k.support_radius
 

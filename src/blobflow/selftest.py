@@ -1,39 +1,24 @@
-"""Built-in property suites, one per module, at fixed seeds.
+"""A smoke battery: one or two cheap checks per module, at fixed seeds, built
+on the library's own validators; the pytest suite is the full specification.
 
-Each suite returns (name, ok, detail) tuples; run_all flattens them. The
-whole battery is budgeted well under two minutes. inject_curvature_violation
-is a negative-control hook: it biases the curvature measured by the
-convex_energy suite so a deliberately broken build is seen to fail.
+Each suite returns (name, ok, detail) tuples; run_all flattens them.
+inject_curvature_violation is a negative-control hook: it biases the curvature
+measured by the convex_energy suite so a deliberately broken build is seen to fail.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 
 from . import dynamics as dyn
-from .convex_energy import (
-    EnergyFamily,
-    RegularizedEnergy,
-    prox,
-    reg_conjugate,
-    reg_derivative,
-    reg_value,
-)
-from .ensemble import (
-    ParticleEnsemble,
-    load_snapshot,
-    prepare_initial_particles,
-    save_snapshot,
-    w1_1d,
-)
-from .mollifier import MollifierKernel, kernel_norms, mollified_density, validate_kernel
-from .reference import (
-    barenblatt,
-    barenblatt_constant,
-    gaussian_reference,
-    heat_kernel_reference,
-    steady_state,
-)
+from .convex_energy import EnergyFamily, RegularizedEnergy
+from .convex_energy import reg_conjugate, reg_derivative, reg_value
+from .ensemble import load_snapshot, prepare_initial_particles, save_snapshot
+from .mollifier import MollifierKernel, validate_kernel
+from .reference import barenblatt, gaussian_reference
 
 Check = tuple[str, bool, str]
 
@@ -52,293 +37,83 @@ def clear_injections() -> None:
     _curvature_injection = 0.0
 
 
-def _families(d: int = 1):
-    return (
-        EnergyFamily.heat(dimension_hint=d),
-        EnergyFamily.porous_medium(2.0, dimension_hint=d),
-        EnergyFamily.fast_diffusion(0.5, dimension_hint=d),
-        EnergyFamily.height_constraint(dimension_hint=d),
-    )
-
-
 def suite_convex_energy(seed: int = 0) -> list[Check]:
     rng = np.random.default_rng(seed)
-    out: list[Check] = []
-
-    worst_fy = 0.0
-    worst_prox = 0.0
-    for fam in _families():
-        for _ in range(16):
-            delta = float(10.0 ** rng.uniform(-3, 0))
+    worst_fy, worst_lo, worst_hi, ok = 0.0, np.inf, -np.inf, True
+    kinds = ("heat", "porous_medium", "fast_diffusion", "height_constraint")
+    for fam in map(EnergyFamily, kinds, (None, 2.0, 0.5, None)):
+        for delta in (1e-3, 0.03, 0.25, 1.0):
             reg = RegularizedEnergy(family=fam, delta=delta, epsilon=delta**2)
             a = rng.uniform(0.0, 10.0, size=64)
             q = np.asarray(reg_derivative(reg, a))
             gap = np.abs(a * q - np.asarray(reg_value(reg, a)) - reg_conjugate(reg, q))
-            scale = np.maximum(np.abs(a * q), 1.0)
-            worst_fy = max(worst_fy, float(np.max(gap / scale)))
-            # prox is monotone and 1-Lipschitz
-            sa = np.sort(a)
-            steps = np.diff(np.asarray(prox(fam, delta, sa)))
-            jumps = np.diff(sa)
-            worst_prox = max(
-                worst_prox,
-                float(np.max(-steps, initial=0.0)),
-                float(np.max(steps - jumps, initial=0.0)),
-            )
-    out.append(
-        (
-            "convex_energy.fenchel_young",
-            worst_fy <= 1e-8,
-            f"max relative residual {worst_fy:.3e}",
-        )
-    )
-    out.append(
-        (
-            "convex_energy.prox_monotone_nonexpansive",
-            worst_prox <= 1e-10,
-            f"max violation {worst_prox:.3e}",
-        )
-    )
-
-    worst_lo = np.inf
-    worst_hi = -np.inf
-    ok = True
-    for fam in _families():
-        delta = 0.25
-        reg = RegularizedEnergy(family=fam, delta=delta, epsilon=delta**2)
-        a = rng.uniform(0.05, 5.0, size=256)
-        h = 1e-4
-        f2 = (
-            np.asarray(reg_value(reg, a + h))
-            - 2.0 * np.asarray(reg_value(reg, a))
-            + np.asarray(reg_value(reg, a - h))
-        ) / h**2
+            worst_fy = max(worst_fy, float(np.max(gap / np.maximum(np.abs(a * q), 1.0))))
+        # f_reg'' lies in [delta, delta + 1/delta]; measured by central differences
+        reg = RegularizedEnergy(family=fam, delta=0.25, epsilon=0.0625)
+        lo, hi = reg.delta, reg.lipschitz_of_derivative
+        a, h = rng.uniform(0.05, 5.0, size=256), 1e-4
+        f2 = (reg_value(reg, a + h) - 2.0 * reg_value(reg, a) + reg_value(reg, a - h)) / h**2
         f2 = f2 + _curvature_injection
-        tol = 1e-3 * (delta + 1.0 / delta)
-        worst_lo = min(worst_lo, float(f2.min()))
-        worst_hi = max(worst_hi, float(f2.max()))
-        ok &= bool(np.all(f2 >= delta - tol) and np.all(f2 <= delta + 1.0 / delta + tol))
-    out.append(
-        (
-            "convex_energy.curvature_sandwich",
-            ok,
-            f"FD curvature range [{worst_lo:.4f}, {worst_hi:.4f}] vs [delta, delta+1/delta]",
-        )
-    )
-
-    neg = 0.0
-    for fam in _families():
-        reg = RegularizedEnergy(family=fam, delta=0.3, epsilon=0.09)
-        q = np.asarray(reg_derivative(reg, rng.uniform(0.0, 8.0, size=128)))
-        neg = min(neg, float(np.min(reg_conjugate(reg, q))))
-    out.append(
-        (
-            "convex_energy.conjugate_nonnegative",
-            neg >= -1e-12,
-            f"min f*(q) = {neg:.3e}",
-        )
-    )
-    return out
+        worst_lo, worst_hi = min(worst_lo, float(f2.min())), max(worst_hi, float(f2.max()))
+        ok &= bool(np.all(f2 >= lo - 1e-3 * hi) and np.all(f2 <= hi + 1e-3 * hi))
+    curvature = f"FD curvature range [{worst_lo:.4f}, {worst_hi:.4f}] vs [delta, delta+1/delta]"
+    return [
+        ("convex_energy.fenchel_young", worst_fy <= 1e-8, f"max relative residual {worst_fy:.3e}"),
+        ("convex_energy.curvature_sandwich", ok, curvature),
+    ]
 
 
-def suite_mollifier(seed: int = 1) -> list[Check]:
+def suite_mollifier() -> list[Check]:
     out: list[Check] = []
     for d in (1, 2):
-        for kind, k in (
-            ("gaussian", MollifierKernel.gaussian(0.2, dimension=d)),
-            ("bump", MollifierKernel.bump(0.2, dimension=d)),
-        ):
-            rep = validate_kernel(k, d)
-            out.append(
-                (
-                    f"mollifier.validate.{kind}.d{d}",
-                    rep.passed,
-                    "ok" if rep.passed else "; ".join(rep.failures),
-                )
-            )
-    k = MollifierKernel.gaussian(0.15, dimension=1)
-    e = ParticleEnsemble(positions=np.array([[0.0], [0.4]]), time=0.0, seed=0)
-    grid = dyn.build_grid(e, 0.15)
-    mass = float(mollified_density(e, k, grid.nodes).sum() * grid.cell)
-    out.append(
-        (
-            "mollifier.mollified_mass",
-            abs(mass - 1.0) <= 1e-8,
-            f"grid mass {mass!r}",
-        )
-    )
-    n1 = kernel_norms(MollifierKernel.gaussian(0.1, dimension=1), 1)
-    n2 = kernel_norms(MollifierKernel.gaussian(0.2, dimension=1), 1)
-    scale_ok = abs(n1.sup - 2.0 * n2.sup) <= 1e-9 * n1.sup
-    out.append(
-        (
-            "mollifier.norm_scaling",
-            scale_ok,
-            f"sup at eps=0.1 vs 2x sup at eps=0.2: {n1.sup!r} vs {2*n2.sup!r}",
-        )
-    )
+        for kind in ("gaussian", "bump"):
+            rep = validate_kernel(getattr(MollifierKernel, kind)(0.2, dimension=d), d)
+            detail = "ok" if rep.passed else "; ".join(rep.failures)
+            out.append((f"mollifier.validate.{kind}.d{d}", rep.passed, detail))
     return out
 
 
 def suite_ensemble(seed: int = 2) -> list[Check]:
-    import os
-    import tempfile
-
-    out: list[Check] = []
-    target = gaussian_reference(1, 1.0)
-    a = prepare_initial_particles(target, 256, seed=seed)
-    b = prepare_initial_particles(target, 256, seed=seed)
-    out.append(
-        (
-            "ensemble.quantile_deterministic",
-            bool(np.array_equal(a.positions, b.positions)),
-            "same seed, same cloud",
-        )
-    )
-    shifted = a.advanced(a.positions + 0.3, 0.0)
-    w = w1_1d(a, shifted)
-    out.append(
-        (
-            "ensemble.w1_shift_exact",
-            abs(w - 0.3) <= 1e-12,
-            f"W1 of a 0.3 shift = {w!r}",
-        )
-    )
-    fd, path = tempfile.mkstemp(suffix=".csv")
-    os.close(fd)
-    try:
+    a = prepare_initial_particles(gaussian_reference(1, 1.0), 256, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snapshot.csv")
         save_snapshot(a, path)
         back = load_snapshot(path)
-    finally:
-        os.unlink(path)
-    out.append(
-        (
-            "ensemble.snapshot_roundtrip",
-            bool(np.array_equal(a.positions, back.positions))
-            and back.seed == a.seed
-            and back.time == a.time,
-            "positions, seed and time survive a save/load cycle",
-        )
-    )
-    return out
+    ok = np.array_equal(a.positions, back.positions) and (back.seed, back.time) == (a.seed, a.time)
+    detail = "positions, seed and time survive a save/load cycle"
+    return [("ensemble.snapshot_roundtrip", ok, detail)]
 
 
-def suite_reference(seed: int = 3) -> list[Check]:
-    out: list[Check] = []
-    c21 = barenblatt_constant(2.0, 1)
-    gap = abs(c21 - 3.0 ** (1.0 / 3.0) / 4.0)
-    out.append(
-        (
-            "reference.barenblatt_constant_m2_d1",
-            gap <= 1e-12,
-            f"|C - 3^(1/3)/4| = {gap:.3e}",
-        )
-    )
+def suite_reference() -> list[Check]:
     xs = np.linspace(-3, 3, 2001)[:, None]
-    rho = barenblatt(2.0, 1, 1.0, xs)
-    mass = float(np.trapezoid(rho, xs[:, 0]))
-    out.append(
-        (
-            "reference.barenblatt_mass",
-            abs(mass - 1.0) <= 1e-6,
-            f"mass {mass!r}",
-        )
-    )
-    fam = EnergyFamily.heat(dimension_hint=1)
-    ss = steady_state(
-        fam,
-        lambda p: 0.5 * np.einsum("ij,ij->i", p, p),
-        (np.array([-8.0]), np.array([8.0])),
-    )
-    z_gap = abs(ss.z + 0.5 * np.log(2.0 * np.pi))
-    out.append(
-        (
-            "reference.heat_steady_state_level",
-            z_gap <= 1e-6,
-            f"|Z + log(2 pi)/2| = {z_gap:.3e}",
-        )
-    )
-    ref = heat_kernel_reference(1, 0.5)
-    pts = np.linspace(-8, 8, 6401)[:, None]
-    m = float(np.trapezoid(ref.pdf(pts), pts[:, 0]))
-    out.append(("reference.heat_kernel_mass", abs(m - 1.0) <= 1e-8, f"mass {m!r}"))
-    return out
+    mass = float(np.trapezoid(barenblatt(2.0, 1, 1.0, xs), xs[:, 0]))
+    return [("reference.barenblatt_mass", abs(mass - 1.0) <= 1e-6, f"mass {mass!r}")]
 
 
 def suite_dynamics(seed: int = 4) -> list[Check]:
-    out: list[Check] = []
     eps = 0.2
-    reg = RegularizedEnergy(
-        family=EnergyFamily.heat(dimension_hint=1), delta=eps**0.5, epsilon=eps
-    )
-    k = MollifierKernel.gaussian(eps, dimension=1)
-
-    single = ParticleEnsemble(positions=np.zeros((1, 1)), time=0.0, seed=0)
-    grid = dyn.build_grid(single, eps)
-    fields = dyn.compute_fields(single, reg, k, grid)
-    gp = dyn.pressure_gradient_at(fields, k, single.positions)
-    out.append(
-        (
-            "dynamics.single_particle_symmetry",
-            float(np.abs(gp).max()) <= 1e-12,
-            f"|grad p(0)| = {float(np.abs(gp).max()):.3e}",
-        )
-    )
-    out.append(
-        (
-            "dynamics.zeta_nonnegative",
-            float(fields.zeta.min()) >= 0.0,
-            f"min zeta {float(fields.zeta.min()):.3e}",
-        )
-    )
-
-    cloud = prepare_initial_particles(gaussian_reference(1, 1.0), 48, seed=seed)
     spec = dyn.RunSpec(
-        reg=reg,
-        kernel=k,
+        reg=RegularizedEnergy(family=EnergyFamily.heat(), delta=eps**0.5, epsilon=eps),
+        kernel=MollifierKernel.gaussian(eps, dimension=1),
         velocity=dyn.VelocityConfig.none(),
-        initial=cloud,
+        initial=prepare_initial_particles(gaussian_reference(1, 1.0), 48, seed=seed),
         t_final=0.05,
         dt=2e-3,
     )
-    traj = dyn.run(spec)
-    f_vals = [r.f_eps for r in traj.records]
-    mono = all(f_vals[i + 1] <= f_vals[i] + 1e-10 for i in range(len(f_vals) - 1))
-    out.append(
-        (
-            "dynamics.energy_monotone",
-            mono,
-            f"F from {f_vals[0]:.6f} to {f_vals[-1]:.6f}",
-        )
-    )
-    res = abs(traj.records[-1].diss_residual)
-    out.append(
-        (
-            "dynamics.dissipation_residual_small",
-            res <= 1e-6,
-            f"|R(T)| = {res:.3e}",
-        )
-    )
-    again = dyn.run(spec)
+    traj, again = dyn.run(spec), dyn.run(spec)
+    f = [r.f_eps for r in traj.records]
+    mono = all(later <= earlier + 1e-10 for earlier, later in zip(f, f[1:]))
     ident = all(
-        np.array_equal(x.positions, y.positions)
-        for x, y in zip(traj.ensembles, again.ensembles)
+        np.array_equal(x.positions, y.positions) for x, y in zip(traj.ensembles, again.ensembles)
     )
-    out.append(("dynamics.bitwise_rerun", ident, "identical spec, identical cloud"))
-    return out
+    return [
+        ("dynamics.energy_monotone", mono, f"F from {f[0]:.6f} to {f[-1]:.6f}"),
+        ("dynamics.bitwise_rerun", ident, "identical spec, identical cloud"),
+    ]
 
 
-SUITES = (
-    ("convex_energy", suite_convex_energy),
-    ("mollifier", suite_mollifier),
-    ("ensemble", suite_ensemble),
-    ("reference", suite_reference),
-    ("dynamics", suite_dynamics),
-)
+SUITES = (suite_convex_energy, suite_mollifier, suite_ensemble, suite_reference, suite_dynamics)
 
 
 def run_all() -> list[Check]:
-    checks: list[Check] = []
-    for _, fn in SUITES:
-        checks.extend(fn())
-    return checks
+    return [check for suite in SUITES for check in suite()]

@@ -402,6 +402,20 @@ def test_selftest_negative_control_and_recovery():
     assert all(ok for _, ok, _ in selftest.suite_convex_energy())
 
 
+def test_healthy_selftest_passes_every_check(capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line.split() for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert lines[-1] == f"selftest: {len(checks)}/{len(checks)} checks passed"
+    assert {words[1].split(".")[0] for words in checks} == {
+        "convex_energy",
+        "mollifier",
+        "ensemble",
+        "reference",
+        "dynamics",
+    }
+
+
 def test_selftest_cli_reports_failures(capsys):
     selftest.inject_curvature_violation(10.0)
     try:
@@ -436,6 +450,8 @@ FLOW = "epsilon = 0.2\nbeta = 0.5\nt_final = 0.02\ndt = 0.002"
         ({"flow": "epsilon = -1, 0.1\nt_final = 0.02"}, "[flow] every epsilon must be positive"),
         ({"flow": "epsilon = 0.2\nt_final = 0.02\ndt = 0"}, "[flow] dt must be > 0.0, got 0.0"),
         ({"flow": "epsilon = 0.2\nt_final = 0.02\ndt = x"}, "[flow] dt = 'x' is not a number"),
+        ({"DEFAULT": "sigma = 2.0"}, "unknown section [DEFAULT]"),
+        ({"DEFAULT": ""}, "unknown section [DEFAULT]"),
     ],
 )
 def test_first_error_message_for_a_bad_value(overrides, first_message):

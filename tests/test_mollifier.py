@@ -67,6 +67,26 @@ def test_normalization_by_quadrature(kind, d):
     assert mass == pytest.approx(1.0, abs=5e-8)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "bump"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_radial_profile_derivatives_match_central_differences(kind, d):
+    # g'' feeds kernel_norms' hess_l1 and so the Lipschitz estimate
+    eps = 0.2
+    k = (
+        MollifierKernel.gaussian(eps, dimension=d)
+        if kind == "gaussian"
+        else MollifierKernel.bump(eps, dimension=d)
+    )
+    g, g1, g2 = radial_profile(k, d)
+    # inside the support, clear of the bump edge and the Gaussian cutoff
+    s = np.linspace(0.02, 0.9, 45) * min(k.support_radius, 4.0 * eps)
+    h = 1e-5 * eps
+    for f, df in ((g, g1), (g1, g2)):
+        central = (f(s + h) - f(s - h)) / (2.0 * h)
+        exact = df(s)
+        assert np.max(np.abs(central - exact)) <= 1e-7 * np.max(np.abs(exact))
+
+
 def test_kernel_even_and_gradient_odd():
     for d in (1, 2):
         k = MollifierKernel.bump(0.3, dimension=d)
