@@ -198,13 +198,21 @@ def _stationary(family: EnergyFamily, alpha: float, beta: float, r):
     alpha j + c j^(m-1) = r with c = beta m / (m - 1), negative for fast
     diffusion. Solved by _newton_bisect on a bracket holding the root.
     """
-    scale = np.maximum(1.0, np.abs(r))
     if family.kind == HEAT:
 
         def g_heat(j):
             return alpha * j + beta * np.log(j) - r, alpha + beta / j
 
-        return _newton_bisect(g_heat, np.zeros_like(r), np.maximum(1.0, r / alpha), scale)
+        # for r >= 0 the root lies in [0, max(1, r / alpha)]. For r < 0 it
+        # lies in (0, 1) and can sit far below what halving reaches: there
+        # log j = (r - alpha j) / beta brackets it by exp((r - alpha) / beta)
+        # and exp(r / beta), and since beta + alpha lo <= j g'(j) on that
+        # bracket, |g| <= tol (beta + alpha lo) holds j to relative error tol
+        neg, r_neg = r < 0.0, np.minimum(r, 0.0)
+        lo = np.where(neg, np.exp((r_neg - alpha) / beta), 0.0)
+        hi = np.where(neg, np.exp(r_neg / beta), np.maximum(1.0, r / alpha))
+        scale = np.where(neg, beta + alpha * lo, np.maximum(1.0, r))
+        return _newton_bisect(g_heat, lo, hi, scale)
 
     m = family.m
     c = beta * m / (m - 1.0)
@@ -221,7 +229,8 @@ def _stationary(family: EnergyFamily, alpha: float, beta: float, r):
         return alpha * j + c * j ** (m - 1.0) - rhs, alpha + c * (m - 1.0) * j ** (m - 2.0)
 
     out = np.zeros_like(r)
-    out[live] = _newton_bisect(g_power, lo[live], hi[live], scale[live])
+    scale = np.maximum(1.0, np.abs(rhs))
+    out[live] = _newton_bisect(g_power, lo[live], hi[live], scale)
     return out
 
 

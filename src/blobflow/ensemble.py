@@ -5,7 +5,9 @@ An ensemble is N uniformly weighted particles in R^d stored as a read-only
 a 1d target or rejection-samples any-dimensional targets with a seeded PCG64
 generator. Metrics: second moment, sorted-quantile W1/W2 between equal-size
 ensembles, and W1 against a reference density (CDF form in d=1, debiased
-entropic transport in d=2).
+entropic transport in d=2). The d=2 transport costs run 500 Sinkhorn sweeps
+in scaling form, two matrix-vector products each, from c-transform
+potentials and with large scalings absorbed into the potentials.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
+
+# a Sinkhorn scaling whose log passes this is absorbed into its potential
+ABSORB_LOG = 100.0
 
 QUANTILE = "quantile"
 REJECTION = "rejection"
@@ -234,8 +238,11 @@ def w1_vs_density(
     """W1 between the cloud and a reference density.
 
     d=1: integral of |F_cloud - F_ref| over the hull of box and particles.
-    d=2: debiased entropic transport between the cloud and a grid
-    discretization of the reference.
+    d=2: debiased entropic transport ab - (aa + bb) / 2 between the cloud
+    (a) and the reference's pdf on a per_axis^2 grid of cell centres (b),
+    per_axis = sqrt(resolution) clipped to [8, 64], with cost |x - y| and
+    entropic scale eta = 0.01 |box diagonal|. Each term is 500 stabilized
+    Sinkhorn sweeps (_entropic_cost); the result is clipped at 0.
     """
     if e.dim != ref.dim:
         raise ValueError("dimension mismatch between ensemble and reference")
@@ -270,19 +277,39 @@ def _grid_atoms_2d(ref: ReferenceDensity, per_axis: int):
 
 
 def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = 500) -> float:
+    """Entropic transport cost between weighted atoms, cost |x - y|.
+
+    Sinkhorn in scaling form, stabilized by absorption (Schmitzer, SIAM J.
+    Sci. Comput. 2019): potentials f, g start at the c-transforms of zero,
+    so K = exp((f + g - C) / eta) has row and column maxima 1; each sweep is
+    two matrix-vector products, and once a scaling u or v leaves
+    exp(+-ABSORB_LOG) it is absorbed into its potential and K rebuilt.
+    Returns sum wa (f + eta log u) + sum wb (g + eta log v).
+    """
     cost = np.sqrt(
         np.maximum(
             np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2), 0.0
         )
     )
-    la = np.log(np.maximum(wa, 1e-300))
-    lb = np.log(np.maximum(wb, 1e-300))
-    f = np.zeros(len(wa))
-    g = np.zeros(len(wb))
+    f = cost.min(axis=1)
+    g = (cost - f[:, None]).min(axis=0)
+    u = np.ones(len(wa))
+    v = np.ones(len(wb))
+    kernel = None
     for _ in range(sweeps):
-        f = -eta * logsumexp((g[None, :] - cost) / eta + lb[None, :], axis=1)
-        g = -eta * logsumexp((f[:, None] - cost) / eta + la[:, None], axis=0)
-    return float(np.sum(wa * f) + np.sum(wb * g))
+        if kernel is None:
+            kernel = f[:, None] + g[None, :]
+            kernel -= cost
+            kernel /= eta
+            np.exp(kernel, out=kernel)
+        u = 1.0 / (kernel @ (v * wb))
+        v = 1.0 / (kernel.T @ (u * wa))
+        log_u, log_v = np.log(u), np.log(v)
+        if max(np.abs(log_u).max(), np.abs(log_v).max()) > ABSORB_LOG:
+            f += eta * log_u
+            g += eta * log_v
+            u, v, kernel = np.ones(len(wa)), np.ones(len(wb)), None
+    return float(np.sum(wa * (f + eta * np.log(u))) + np.sum(wb * (g + eta * np.log(v))))
 
 
 def _sinkhorn_w1_2d(e: ParticleEnsemble, ref: ReferenceDensity, resolution: int) -> float:

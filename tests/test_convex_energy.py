@@ -108,6 +108,23 @@ def test_prox_heat_stationarity():
     np.testing.assert_allclose(delta * np.log(b) + b, a, atol=1e-10)
 
 
+@pytest.mark.parametrize("delta", [0.01, 1.0])
+def test_prox_heat_far_below_zero(delta):
+    # the root of b + delta log b = a is about exp(a / delta): below 2^-200
+    # once a / delta < -138, and below the smallest double once it is < -745
+    ratio = -np.geomspace(1e-3, 1e3, 2001)[::-1]
+    b = np.asarray(prox(HEAT, delta, ratio * delta))
+    assert np.isfinite(b).all() and (b >= 0.0).all()
+    assert (np.diff(b) >= 0.0).all()
+    assert (b[ratio > -740.0] > 0.0).all()
+    # y = log b is the fixed point of y = a / delta - exp(y) / delta
+    y = ratio.copy()
+    for _ in range(200):
+        y = ratio - np.exp(y) / delta
+    normal = (np.exp(y) > 1e-300) & (np.exp(y) < 0.5 * delta)
+    np.testing.assert_allclose(b[normal], np.exp(y[normal]), rtol=1e-12, atol=0.0)
+
+
 @given(family=family_strategy, delta=delta_strategy, data=st.data())
 def test_prox_monotone_and_nonexpansive(family, delta, data):
     a1 = data.draw(st.floats(min_value=0.0, max_value=10.0))

@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import logsumexp
 
 from blobflow.ensemble import (
     ParticleEnsemble,
     ReferenceDensity,
     RejectionStallError,
+    _entropic_cost,
+    _grid_atoms_2d,
     load_snapshot,
     prepare_initial_particles,
     quantiles_from_cdf,
@@ -18,6 +26,9 @@ from blobflow.ensemble import (
     w2_1d,
 )
 from blobflow.reference import gaussian_reference, uniform_reference
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cloud(xs, time=0.0, seed=0):
@@ -131,6 +142,84 @@ def test_w1_vs_density_2d_sinkhorn_sanity():
     assert near < 0.2
     assert far > 3.0 * near
     assert 0.3 < far < 0.9
+
+
+NORMAL2 = ReferenceDensity(
+    name="normal2",
+    dim=2,
+    pdf=lambda p: np.exp(-0.5 * (p**2).sum(axis=1)) / (2 * np.pi),
+    box=(np.full(2, -4.0), np.full(2, 4.0)),
+)
+
+
+def log_domain_cost(x, wx, y, wy, eta, sweeps=500):
+    """Entropic cost by plain log-domain Sinkhorn from zero potentials."""
+    c = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
+    f, g = np.zeros(len(x)), np.zeros(len(y))
+    for _ in range(sweeps):
+        f = -eta * logsumexp((g - c) / eta + np.log(wy), axis=1)
+        g = -eta * logsumexp((f[:, None] - c) / eta + np.log(wx)[:, None], axis=0)
+    return wx @ f + wy @ g
+
+
+def log_domain_w1_2d(xa, ref, per_axis):
+    xb, wb = _grid_atoms_2d(ref, per_axis)
+    wa = np.full(len(xa), 1.0 / len(xa))
+    eta = 0.01 * float(np.linalg.norm(ref.box[1] - ref.box[0]))
+    ab = log_domain_cost(xa, wa, xb, wb, eta)
+    aa = log_domain_cost(xa, wa, xa, wa, eta)
+    bb = log_domain_cost(xb, wb, xb, wb, eta)
+    return max(ab - 0.5 * (aa + bb), 0.0)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "shifted", "outlier"])
+def test_sinkhorn_w1_2d_matches_log_domain_reference(case):
+    xa = np.random.default_rng(7).normal(size=(64, 2))
+    if case == "shifted":
+        xa += np.array([0.7, -0.3])
+    if case == "outlier":
+        # exp(-C / eta) underflows on this particle's whole row
+        xa[0] = (90.0, 0.0)
+        atoms, _ = _grid_atoms_2d(NORMAL2, 8)
+        eta = 0.01 * float(np.linalg.norm(NORMAL2.box[1] - NORMAL2.box[0]))
+        assert np.linalg.norm(atoms - xa[0], axis=1).min() / eta > 745.0
+    ours = w1_vs_density(cloud(xa), NORMAL2, resolution=64)  # 8 x 8 atoms
+    assert np.isfinite(ours)
+    assert ours == pytest.approx(log_domain_w1_2d(xa, NORMAL2, 8), rel=1e-12)
+
+
+def test_entropic_cost_absorbs_scalings_past_overflow():
+    # moving 0.98 of the mass over L = 1000 eta needs u v = exp(980), past
+    # the largest double: only absorbing the scalings into f, g keeps it finite
+    x = np.array([[0.0, 0.0], [1000.0, 0.0]])
+    wa, wb = np.array([0.99, 0.01]), np.array([0.01, 0.99])
+    ours = _entropic_cost(x, wa, x, wb, 1.0)
+    assert ours == pytest.approx(log_domain_cost(x, wa, x, wb, 1.0), rel=1e-12)
+    assert ours == pytest.approx(980.0, rel=1e-6)
+
+
+def test_w1_vs_density_2d_independent_of_thread_count():
+    # the scaling sweeps reduce through BLAS gemv; all three problems here
+    # are large enough for OpenBLAS to split them across threads
+    code = (
+        "import numpy as np\n"
+        "from blobflow.ensemble import ParticleEnsemble, ReferenceDensity, w1_vs_density\n"
+        "box = (np.full(2, -4.0), np.full(2, 4.0))\n"
+        "pdf = lambda p: np.exp(-0.5 * (p**2).sum(axis=1))\n"
+        "ref = ReferenceDensity(name='normal2', dim=2, pdf=pdf, box=box)\n"
+        "xs = np.random.default_rng(3).normal(size=(128, 2))\n"
+        "print(repr(w1_vs_density(ParticleEnsemble(xs), ref, resolution=256)))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert float(outputs[0]) > 0.0
 
 
 def test_rejection_sampling_tracks_target():

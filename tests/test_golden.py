@@ -63,6 +63,32 @@ kind = steady_state
 resolution = 1024
 """
 
+# d = 2 from a seeded rejection cloud: four RK4 steps on the tensor grid and
+# the Sinkhorn W1 at three records
+HEAT2D = """
+[family]
+kind = heat
+dimension = 2
+[kernel]
+kind = gaussian
+[flow]
+epsilon = 0.2
+beta = 0.5
+t_final = 0.04
+dt = 0.01
+record_every = 2
+[particles]
+n = 128
+seed = 0
+init = rejection
+[initial]
+kind = heat_kernel
+t0 = 0.25
+[reference]
+kind = self_similar
+resolution = 256
+"""
+
 CASES = {
     "heat": "[family]\nkind = heat\n"
     + FREE.format(t_final=0.05, initial="heat_kernel", t0=0.05),
@@ -73,6 +99,7 @@ CASES = {
     "height_constraint": "[family]\nkind = height_constraint\n"
     + CONFINED.format(sigma=0.1),
     "confined_heat": "[family]\nkind = heat\n" + CONFINED.format(sigma=0.5),
+    "heat2d": HEAT2D,
 }
 
 
@@ -84,9 +111,10 @@ def run_case(name: str, out_dir: Path) -> None:
     assert main(["run", "--config", str(config), "--out", str(out_dir), "--quiet"]) == 0
 
 
-def write_golden(root: Path = GOLDEN) -> None:
-    """Rerun every case and keep its golden files under root/<case>/."""
-    for name in CASES:
+def write_golden(root: Path = GOLDEN, names=tuple(CASES)) -> None:
+    """Rerun the named cases (all by default) and keep their golden files
+    under root/<case>/."""
+    for name in names:
         scratch = root / name / "run"
         run_case(name, scratch)
         for filename in FILES:
