@@ -241,19 +241,6 @@ def config_hash(cfg: SimConfig) -> str:
 # experiment assembly (heavy imports live here)
 
 
-def _family(cfg: SimConfig):
-    from .convex_energy import EnergyFamily
-
-    d = cfg.dimension
-    if cfg.family_kind == "heat":
-        return EnergyFamily.heat(dimension_hint=d)
-    if cfg.family_kind == "porous_medium":
-        return EnergyFamily.porous_medium(cfg.m, dimension_hint=d)
-    if cfg.family_kind == "fast_diffusion":
-        return EnergyFamily.fast_diffusion(cfg.m, dimension_hint=d)
-    return EnergyFamily.height_constraint(dimension_hint=d)
-
-
 def _kernel(cfg: SimConfig, epsilon: float):
     from .mollifier import MollifierKernel
 
@@ -288,14 +275,6 @@ def _initial_density(cfg: SimConfig):
     if cfg.initial_kind == "gaussian":
         return gaussian_reference(d, cfg.initial_sigma, cfg.initial_center)
     return uniform_reference(d, cfg.initial_half_width, cfg.initial_center)
-
-
-def _velocity(cfg: SimConfig):
-    from . import dynamics as dyn
-
-    if cfg.velocity_kind == "none":
-        return dyn.VelocityConfig.none()
-    return dyn.VelocityConfig.quadratic()
 
 
 def _reference(cfg: SimConfig, family):
@@ -335,12 +314,12 @@ def build_runspec(cfg: SimConfig, epsilon: float):
     """Translate a config into a dynamics.RunSpec at the given epsilon;
     validation failures raise ConfigError."""
     from . import dynamics as dyn
-    from .convex_energy import RegularizedEnergy
+    from .convex_energy import EnergyFamily, RegularizedEnergy
     from .ensemble import prepare_initial_particles
     from .reference import DeltaSchedule
 
     try:
-        family = _family(cfg)
+        family = EnergyFamily(cfg.family_kind, cfg.m, cfg.dimension)
     except ValueError as exc:
         raise ConfigError([f"[family] {exc}"]) from exc
     kernel = _kernel(cfg, epsilon)
@@ -371,7 +350,11 @@ def build_runspec(cfg: SimConfig, epsilon: float):
     return dyn.RunSpec(
         reg=reg,
         kernel=kernel,
-        velocity=_velocity(cfg),
+        velocity=(
+            dyn.VelocityConfig.none()
+            if cfg.velocity_kind == "none"
+            else dyn.VelocityConfig.quadratic()
+        ),
         initial=initial,
         t_final=cfg.t_final,
         dt=cfg.dt,
@@ -394,26 +377,32 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool) -> dict:
-    """One simulation with streamed diagnostics; returns the summary dict."""
+def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
+    """One simulation with streamed diagnostics; returns (summary, trajectory).
+
+    Any failure once out_dir exists, set-up included, writes summary.json
+    with the error and re-raises.
+    """
     from . import dynamics as dyn
     from .ensemble import save_snapshot
 
     os.makedirs(out_dir, exist_ok=True)
-    spec = build_runspec(cfg, epsilon)
-    save_snapshot(spec.initial, os.path.join(out_dir, "snapshot_initial.csv"))
-
-    started = time.perf_counter()
-    diag_path = os.path.join(out_dir, "diagnostics.csv")
     summary = {
         "config_sha256": config_hash(cfg),
         "config": _config_echo(cfg),
         "epsilon": epsilon,
-        "delta": spec.reg.delta,
-        "outputs": ["diagnostics.csv", "snapshot_initial.csv"],
+        "outputs": [],
     }
+    started = time.perf_counter()
     try:
-        with open(diag_path, "w", encoding="utf-8", newline="\n") as diag:
+        spec = build_runspec(cfg, epsilon)
+        summary["delta"] = spec.reg.delta
+        save_snapshot(spec.initial, os.path.join(out_dir, "snapshot_initial.csv"))
+        summary["outputs"] = ["diagnostics.csv", "snapshot_initial.csv"]
+        started = time.perf_counter()  # wall_time_s times the solve, not the set-up
+        with open(
+            os.path.join(out_dir, "diagnostics.csv"), "w", encoding="utf-8", newline="\n"
+        ) as diag:
             diag.write(dyn.DiagnosticsRecord.CSV_HEADER + "\n")
             diag.flush()
 
@@ -430,9 +419,7 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool) -> d
     wall = time.perf_counter() - started
     final = trajectory.records[-1]
 
-    save_snapshot(
-        trajectory.ensembles[-1], os.path.join(out_dir, "snapshot_final.csv")
-    )
+    save_snapshot(trajectory.final, os.path.join(out_dir, "snapshot_final.csv"))
     summary["outputs"] += ["snapshot_final.csv", "summary.json"]
     summary.update(
         {
@@ -451,24 +438,23 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool) -> d
         f"records to t={final.t:g}, F {final.f_eps:.6f}{w1_text}, {wall:.1f}s "
         f"-> {out_dir}",
     )
-    summary["_trajectory"] = trajectory  # in-process callers only, not serialized
-    return summary
+    return summary, trajectory
 
 
 def _write_summary(out_dir: str, summary: dict) -> None:
-    clean = {k: v for k, v in summary.items() if not k.startswith("_")}
     with open(
         os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n"
     ) as fh:
-        json.dump(clean, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def cmd_run(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
+    """One simulation at the config's single epsilon (the body of run and sample)."""
     if len(cfg.epsilons) != 1:
         raise ConfigError(
             [
-                f"run takes a single epsilon; got {len(cfg.epsilons)} "
+                f"run and sample take a single epsilon; got {len(cfg.epsilons)} "
                 "(use the converge subcommand for a list)"
             ]
         )
@@ -490,8 +476,7 @@ def cmd_converge(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
     rows = []
     for e in eps:
         sub = os.path.join(out_dir, f"eps_{e:g}")
-        summary = _execute_run(cfg, e, sub, quiet)
-        trajectory = summary["_trajectory"]
+        summary, trajectory = _execute_run(cfg, e, sub, quiet)
         with_w1 = [r for r in trajectory.records if r.w1_to_reference is not None]
         checkpoints = []
         for frac in fractions:
@@ -550,12 +535,7 @@ def cmd_sample(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
     equilibrium profile."""
     if cfg.velocity_kind == "none":
         raise ConfigError(["sample requires [velocity] kind = quadratic"])
-    if cfg.reference_kind != "steady_state":
-        cfg = replace(cfg, reference_kind="steady_state")
-    if len(cfg.epsilons) != 1:
-        raise ConfigError(["sample takes a single epsilon"])
-    _execute_run(cfg, cfg.epsilons[0], out_dir, quiet)
-    return 0
+    return cmd_run(replace(cfg, reference_kind="steady_state"), out_dir, quiet)
 
 
 def cmd_selftest(quiet: bool) -> int:

@@ -5,8 +5,9 @@ q = f_reg'(mu), mu = phi_eps * (particle empirical measure). Convolutions are
 evaluated by midpoint quadrature on a tensor grid that tracks the cloud;
 fields are rebuilt at every integrator stage. Diagnostics per record: energy,
 mollified entropy, second moment, dissipation residual, cross-term sign,
-stability constant, and optional W1-to-reference and mollifier-exchange
-residuals.
+stability constant, and optional W1-to-reference. The mollifier-exchange
+residual is a function of one cloud (exchange_residual), not a per-record
+diagnostic; its CSV column stays empty.
 
 Determinism: every reduction sums contiguous arrays along a fixed axis in
 index order with fixed chunk sizes, so identical inputs give bit-identical
@@ -418,7 +419,6 @@ class RunSpec:
     scheme: str = RK4
     record_every: int = 1
     reference: Optional[Callable[[float], ReferenceDensity]] = None
-    exchange_test: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grid_padding: float = 6.0
     grid_spacing_fraction: float = 0.25
     grid_node_budget: int = 20_000_000
@@ -448,47 +448,43 @@ class SimState:
 
 @dataclass
 class Trajectory:
+    """The diagnostics records of a run and its last cloud; callers that
+    want every recorded cloud collect them through run's on_record."""
+
     records: list[DiagnosticsRecord] = field(default_factory=list)
-    ensembles: list[ParticleEnsemble] = field(default_factory=list)
+    final: Optional[ParticleEnsemble] = None
     c_eps: float = 0.0
     dt: float = 0.0
 
 
-def _fresh_grid(spec: RunSpec, positions: np.ndarray) -> QuadratureGrid:
-    return build_grid(
-        positions,
-        spec.kernel.epsilon,
-        padding=spec.grid_padding,
-        spacing_fraction=spec.grid_spacing_fraction,
-        node_budget=spec.grid_node_budget,
-    )
-
-
-def _ensure_grid(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
-    """Rebuild when any particle enters the 2-eps shell at the box edge."""
+def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
+    """(grid, fields, grad p) at one integrator stage. The grid is kept
+    unless any particle enters the 2-eps shell at its edge."""
     if grid is None or not grid.covers(positions, slack=2.0 * spec.kernel.epsilon):
-        return _fresh_grid(spec, positions)
-    return grid
-
-
-def _stage_velocity(spec: RunSpec, positions: np.ndarray, grid):
-    """Velocity field for one integrator stage (fields rebuilt here)."""
-    grid = _ensure_grid(spec, positions, grid)
+        grid = build_grid(
+            positions,
+            spec.kernel.epsilon,
+            padding=spec.grid_padding,
+            spacing_fraction=spec.grid_spacing_fraction,
+            node_budget=spec.grid_node_budget,
+        )
     fields = compute_fields(positions, spec.reg, spec.kernel, grid, with_zeta=False)
-    gp = pressure_gradient_at(fields, spec.kernel, positions)
-    vel = -gp - spec.velocity.evaluate(positions)
+    return grid, fields, pressure_gradient_at(fields, spec.kernel, positions)
+
+
+def _velocity(spec: RunSpec, positions: np.ndarray, pressure_grad: np.ndarray) -> np.ndarray:
+    """x' = -grad p - v at the particles; non-finite values name the particles."""
+    vel = -pressure_grad - spec.velocity.evaluate(positions)
     if not np.isfinite(vel).all():
         bad = np.where(~np.all(np.isfinite(vel), axis=1))[0]
         raise FloatingPointError(
             f"non-finite velocity for particle indices {bad[:8].tolist()}"
         )
-    return vel, gp, fields, grid
+    return vel
 
 
 def make_state(spec: RunSpec, ensemble: ParticleEnsemble) -> SimState:
-    grid = _fresh_grid(spec, ensemble.positions)
-    fields = compute_fields(ensemble.positions, spec.reg, spec.kernel, grid, with_zeta=False)
-    gp = pressure_gradient_at(fields, spec.kernel, ensemble.positions)
+    grid, fields, gp = _stage(spec, ensemble.positions, None)
     return SimState(spec=spec, ensemble=ensemble, grid=grid, fields=fields, pressure_grad=gp)
 
 
@@ -505,29 +501,24 @@ def step(state: SimState, dt: float, scheme: str | None = None) -> SimState:
     x0 = state.ensemble.positions
     grid = state.grid
 
-    v1 = -state.pressure_grad - spec.velocity.evaluate(x0)
-    if not np.isfinite(v1).all():
-        bad = np.where(~np.all(np.isfinite(v1), axis=1))[0]
-        raise FloatingPointError(
-            f"non-finite velocity for particle indices {bad[:8].tolist()}"
-        )
+    v = _velocity(spec, x0, state.pressure_grad)
     if scheme == EULER:
-        x_new = x0 + dt * v1
+        x_new = x0 + dt * v
     elif scheme == RK4:
-        v2, _, _, grid = _stage_velocity(spec, x0 + 0.5 * dt * v1, grid)
-        v3, _, _, grid = _stage_velocity(spec, x0 + 0.5 * dt * v2, grid)
-        v4, _, _, grid = _stage_velocity(spec, x0 + dt * v3, grid)
-        x_new = x0 + dt / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        total = v
+        for offset, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            x = x0 + offset * dt * v
+            grid, _, gp = _stage(spec, x, grid)
+            v = _velocity(spec, x, gp)
+            total = total + weight * v
+        x_new = x0 + dt / 6.0 * total
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    t_new = state.ensemble.time + dt
-    grid = _ensure_grid(spec, x_new, grid)
-    fields = compute_fields(x_new, spec.reg, spec.kernel, grid, with_zeta=False)
-    gp = pressure_gradient_at(fields, spec.kernel, x_new)
+    grid, fields, gp = _stage(spec, x_new, grid)
     return SimState(
         spec=spec,
-        ensemble=state.ensemble.advanced(x_new, t_new),
+        ensemble=state.ensemble.advanced(x_new, state.ensemble.time + dt),
         grid=grid,
         fields=fields,
         pressure_grad=gp,
@@ -552,11 +543,6 @@ def _record(
     w1 = None
     if spec.reference is not None:
         w1 = w1_vs_density(state.ensemble, spec.reference(t), spec.w1_resolution)
-    exch = None
-    if spec.exchange_test is not None:
-        exch = exchange_residual(
-            state.ensemble, state.fields, spec.kernel, spec.exchange_test
-        )
     rec = DiagnosticsRecord(
         t=t,
         f_eps=f_now,
@@ -566,13 +552,12 @@ def _record(
         min_cross_term=min_ct,
         lipschitz_estimate=c_eps,
         w1_to_reference=w1,
-        exchange_residual=exch,
         dissipation_rate=_dissipation_rate(state),
     )
     window = trajectory.records + [rec]
     rec = replace(rec, diss_residual=dissipation_residual(window))
     trajectory.records.append(rec)
-    trajectory.ensembles.append(state.ensemble)
+    trajectory.final = state.ensemble
     if on_record is not None:
         on_record(rec, state.ensemble)
 
@@ -581,7 +566,8 @@ def run(spec: RunSpec, on_record=None) -> Trajectory:
     """Integrate to t_final, recording diagnostics at the configured cadence.
 
     on_record(record, ensemble) fires at every record so callers can stream
-    partial output; the trajectory is returned in full.
+    partial output or keep the clouds; the trajectory holds every record and
+    only the last cloud.
     """
     spec.velocity.validate_gradient(
         spec.initial.positions[:: max(1, spec.initial.n // 32)]

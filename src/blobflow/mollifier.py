@@ -24,7 +24,6 @@ BUMP = "bump"
 
 # fixed chunk budgets keep the summation order independent of problem size
 _VALUE_BLOCK = 2**23
-_GRAD_BLOCK = 2**22
 _WINDOW_BLOCK = 2**17
 
 
@@ -170,22 +169,6 @@ def mollified_density(particles, k: MollifierKernel, points):
         block = pts[s : s + step]  # (q, d)
         diff = block[None, :, :] - pos[:, None, :]  # (N, q, d)
         out[s : s + step] = kernel_value(k, diff).sum(axis=0) / n
-    return out
-
-
-def mollified_density_gradient(particles, k: MollifierKernel, points):
-    """grad(phi_eps * rho^N)(points), shape (Q, d)."""
-    pos = _positions(particles)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != pos.shape[1]:
-        raise ValueError("query points must have shape (Q, d) matching particles")
-    n, d = pos.shape
-    out = np.empty_like(pts)
-    step = max(1, _GRAD_BLOCK // max(n * d, 1))
-    for s in range(0, pts.shape[0], step):
-        block = pts[s : s + step]
-        diff = block[None, :, :] - pos[:, None, :]
-        out[s : s + step] = kernel_gradient(k, diff).sum(axis=0) / n
     return out
 
 

@@ -1,6 +1,13 @@
-import numpy as np
-import pytest
-from hypothesis import HealthCheck, settings
+import os
+
+# one BLAS thread for the whole session: on a busy host extra threads make the
+# dense kernels far slower, and results are pinned thread-independent anyway
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
 
 settings.register_profile(
     "suite",

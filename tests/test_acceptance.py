@@ -15,11 +15,13 @@ that target's continuum bias.
 
 import math
 import time
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from blobflow import cli
+from blobflow import cli, dynamics
 from blobflow.convex_energy import (
     EnergyFamily,
     RegularizedEnergy,
@@ -165,14 +167,35 @@ kind = steady_state
 """
 
 
+class Run(NamedTuple):
+    summary: dict
+    trajectory: dynamics.Trajectory
+    clouds: list  # every recorded cloud, in record order
+    dir: Path
+
+
+def _execute(cfg, eps, out_dir):
+    """One CLI run. The recorded clouds are collected by wrapping
+    dynamics.run so that the CLI's own on_record is chained."""
+    clouds = []
+    run = dynamics.run
+
+    def collecting_run(spec, on_record=None):
+        def record(rec, ensemble):
+            clouds.append(ensemble)
+            on_record(rec, ensemble)
+
+        return run(spec, on_record=record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "run", collecting_run)
+        summary, trajectory = cli._execute_run(cfg, eps, str(out_dir), quiet=True)
+    return Run(summary, trajectory, clouds, out_dir)
+
+
 def _execute_all(cfg, out_root):
-    """One simulation per configured epsilon; returns eps -> summary."""
-    out = {}
-    for eps in cfg.epsilons:
-        sub = out_root / f"eps_{eps:g}"
-        out[eps] = cli._execute_run(cfg, eps, str(sub), quiet=True)
-        out[eps]["_dir"] = sub
-    return out
+    """One simulation per configured epsilon; returns eps -> Run."""
+    return {eps: _execute(cfg, eps, out_root / f"eps_{eps:g}") for eps in cfg.epsilons}
 
 
 @pytest.fixture(scope="module")
@@ -216,11 +239,13 @@ def _snapshot_fields(spec, ensemble, with_zeta=False):
 
 
 def _finals(results):
-    return [results[eps]["final"]["w1_to_reference"] for eps in sorted(results, reverse=True)]
+    return [
+        results[eps].summary["final"]["w1_to_reference"] for eps in sorted(results, reverse=True)
+    ]
 
 
 def _total_wall(results):
-    return sum(results[eps]["wall_time_s"] for eps in results)
+    return sum(results[eps].summary["wall_time_s"] for eps in results)
 
 
 def _decreasing(values):
@@ -381,7 +406,7 @@ def test_heat_epsilon_convergence(heat_runs):
     for eps in sorted(results, reverse=True):
         spec = cli.build_runspec(cfg, eps)
         flow = _regularized_heat_flow(spec.reg, cfg.initial_t0, cfg.t_final)
-        cloud = results[eps]["_trajectory"].ensembles[-1]
+        cloud = results[eps].trajectory.final
         to_flow.append(w1_vs_density(cloud, flow, spec.w1_resolution))
         bias.append(_w1_between(flow, heat))
         deltas.append(spec.reg.delta)
@@ -431,14 +456,13 @@ def test_fast_diffusion_convergence_trend(fd_runs):
 def test_height_constraint_saturation(height_run):
     cfg, results = height_run
     (eps,) = cfg.epsilons
-    summary = results[eps]
-    trajectory = summary["_trajectory"]
+    summary = results[eps].summary
     spec = cli.build_runspec(cfg, eps)
 
-    start = _snapshot_fields(spec, trajectory.ensembles[0])
+    start = _snapshot_fields(spec, spec.initial)
     assert float(start.mu.max()) > 2.0  # the bump really is oversaturated
 
-    end = _snapshot_fields(spec, trajectory.ensembles[-1])
+    end = _snapshot_fields(spec, results[eps].trajectory.final)
     peak = float(end.mu.max())
     assert peak <= 1.1, f"final density peak {peak:.4f} > 1.1"
     w1 = summary["final"]["w1_to_reference"]
@@ -449,8 +473,8 @@ def test_height_constraint_saturation(height_run):
 def test_confined_sampling_relaxation(sampling_run):
     cfg, results = sampling_run
     (eps,) = cfg.epsilons
-    summary = results[eps]
-    records = summary["_trajectory"].records
+    summary = results[eps].summary
+    records = results[eps].trajectory.records
     w1 = [r.w1_to_reference for r in records]
     tail = [(r.t, v) for r, v in zip(records, w1) if r.t >= 1.0]
     jitter_ok = all(b <= 1.1 * a for (_, a), (_, b) in zip(tail, tail[1:]))
@@ -461,7 +485,7 @@ def test_confined_sampling_relaxation(sampling_run):
     spec = cli.build_runspec(cfg, eps)
     normal = spec.reference(0.0)
     target = _regularized_equilibrium(spec.reg, cfg.w1_resolution)
-    cloud = summary["_trajectory"].ensembles[-1]
+    cloud = results[eps].trajectory.final
     to_target = w1_vs_density(cloud, target, spec.w1_resolution)
     bias = _w1_between(target, normal)
     assert to_target <= 0.05, (
@@ -486,8 +510,8 @@ def test_confined_sampling_relaxation(sampling_run):
 
 def test_energy_dissipation_and_residual_halving(heat_runs, pme_runs, fd_runs, tmp_path):
     for cfg, results in (heat_runs, pme_runs, fd_runs):
-        for eps, summary in results.items():
-            records = summary["_trajectory"].records
+        for eps, run in results.items():
+            records = run.trajectory.records
             f = np.array([r.f_eps for r in records])
             slack = 10.0 * cfg.dt**2 * abs(f[0])
             assert np.all(np.diff(f) <= slack), (
@@ -495,11 +519,11 @@ def test_energy_dissipation_and_residual_halving(heat_runs, pme_runs, fd_runs, t
             )
 
     cfg4, results4 = heat_runs
-    r_full = abs(results4[0.2]["_trajectory"].records[-1].diss_residual)
-    halved = cli._execute_run(
+    r_full = abs(results4[0.2].trajectory.records[-1].diss_residual)
+    _, halved = cli._execute_run(
         cli.replace(cfg4, dt=cfg4.dt / 2.0), 0.2, str(tmp_path / "halved"), quiet=True
     )
-    r_half = abs(halved["_trajectory"].records[-1].diss_residual)
+    r_half = abs(halved.records[-1].diss_residual)
     assert r_full / r_half >= 3.0, (
         f"dissipation residual only shrank {r_full / r_half:.2f}x on halving dt"
     )
@@ -507,9 +531,9 @@ def test_energy_dissipation_and_residual_halving(heat_runs, pme_runs, fd_runs, t
 
 def test_entropy_cross_term_sign(heat_runs, pme_runs, fd_runs, height_run, sampling_run):
     for cfg, results in (heat_runs, pme_runs, fd_runs, height_run, sampling_run):
-        for eps, summary in results.items():
+        for eps, run in results.items():
             spec = cli.build_runspec(cfg, eps)
-            for ensemble in summary["_trajectory"].ensembles:
+            for ensemble in run.clouds:
                 f = _snapshot_fields(spec, ensemble)
                 dot = np.einsum("gi,gi->g", f.grad_mu, f.grad_q)
                 prod = np.linalg.norm(f.grad_mu, axis=1) * np.linalg.norm(
@@ -524,10 +548,10 @@ def test_entropy_cross_term_sign(heat_runs, pme_runs, fd_runs, height_run, sampl
 
 def test_gradient_sandwich_on_snapshots(heat_runs):
     cfg, results = heat_runs
-    for eps, summary in results.items():
+    for eps, run in results.items():
         spec = cli.build_runspec(cfg, eps)
         lip = spec.reg.lipschitz_of_derivative
-        for ensemble in summary["_trajectory"].ensembles:
+        for ensemble in run.clouds:
             f = _snapshot_fields(spec, ensemble)
             gq = np.linalg.norm(f.grad_q, axis=1)
             gm = np.linalg.norm(f.grad_mu, axis=1)
@@ -541,15 +565,14 @@ def test_second_moment_growth(heat_runs):
     cfg, results = heat_runs
     eps = 0.05
     spec = cli.build_runspec(cfg, eps)
-    trajectory = results[eps]["_trajectory"]
-    records = trajectory.records
+    records = results[eps].trajectory.records
     growth = records[-1].m2 - records[0].m2
     d = spec.initial.dim
 
     # dM2/dt = 2d int zeta dx + O(eps^2) for this flow, zeta = f_reg*(q) the
     # regularized pressure; the heat equation's 2dT is its delta -> 0 limit
     pressure = []
-    for ensemble in trajectory.ensembles:
+    for ensemble in results[eps].clouds:
         f = _snapshot_fields(spec, ensemble, with_zeta=True)
         pressure.append(float(np.sum(f.zeta) * f.grid.cell))
     target = 2.0 * d * float(np.trapezoid(pressure, [r.t for r in records]))
@@ -597,10 +620,8 @@ def test_mollifier_exchange_trend(heat_runs):
 
 def test_rerun_determinism_byte_identical(heat_runs, sampling_run, tmp_path):
     for tag, (cfg, results) in (("heat", heat_runs), ("sampling", sampling_run)):
-        for eps, summary in results.items():
-            again = cli._execute_run(
-                cfg, eps, str(tmp_path / f"{tag}_{eps:g}"), quiet=True
-            )
-            first = (summary["_dir"] / "diagnostics.csv").read_bytes()
+        for eps, run in results.items():
+            cli._execute_run(cfg, eps, str(tmp_path / f"{tag}_{eps:g}"), quiet=True)
+            first = (run.dir / "diagnostics.csv").read_bytes()
             second = (tmp_path / f"{tag}_{eps:g}" / "diagnostics.csv").read_bytes()
             assert first == second, f"diagnostics differ on rerun ({tag}, eps = {eps})"

@@ -223,6 +223,23 @@ def test_runtime_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
     assert "GridBudgetError" in summary["error"]
 
 
+def test_setup_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
+    # rejection sampling of a 5d heat kernel stalls before the first step
+    text = base_config(
+        family="kind = heat\ndimension = 5",
+        flow="epsilon = 0.2\nbeta = 0.4\nt_final = 0.01\ndt = 0.01",
+        particles="n = 16\ninit = rejection",
+        initial="kind = heat_kernel\nt0 = 0.25",
+        reference="kind = none",
+    )
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert "runtime error: RejectionStallError" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert "RejectionStallError" in summary["error"]
+
+
 # ---------------------------------------------------------------------------
 # run outputs
 

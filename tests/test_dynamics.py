@@ -1,5 +1,7 @@
 """Field evaluation, pressure forcing, and the particle integrator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,7 +282,7 @@ def single_particle_spec(scheme: str, dt: float, t_final: float) -> RunSpec:
 def test_single_particle_in_quadratic_well_decays_exactly():
     # the self-forcing vanishes by symmetry, so x' = -x and x(t) = e^-t
     traj = run(single_particle_spec(RK4, 0.01, 0.5))
-    x = traj.ensembles[-1].positions[0, 0]
+    x = traj.final.positions[0, 0]
     assert x == pytest.approx(np.exp(-0.5), abs=1e-7)
 
 
@@ -289,7 +291,7 @@ def test_scheme_orders_on_the_exact_solution():
 
     def err(scheme, dt):
         traj = run(single_particle_spec(scheme, dt, 0.4))
-        return abs(traj.ensembles[-1].positions[0, 0] - exact)
+        return abs(traj.final.positions[0, 0] - exact)
 
     e1, e2 = err(EULER, 0.04), err(EULER, 0.02)
     assert 1.6 < e1 / e2 < 2.4  # first order
@@ -325,7 +327,7 @@ def test_zero_horizon_run_records_the_initial_state():
     traj = run(spec)
     assert len(traj.records) == 1
     assert traj.records[0].t == 0.0
-    np.testing.assert_array_equal(traj.ensembles[0].positions, spec.initial.positions)
+    np.testing.assert_array_equal(traj.final.positions, spec.initial.positions)
 
 
 def test_auto_dt_uses_the_stability_constant():
@@ -370,7 +372,7 @@ def test_grid_follows_a_drifting_cloud():
         record_every=10**6,
     )
     traj = run(spec)
-    moved = traj.ensembles[-1].positions.mean() - init.positions.mean()
+    moved = traj.final.positions.mean() - init.positions.mean()
     assert moved == pytest.approx(3.0, abs=0.05)
 
 
@@ -389,10 +391,33 @@ def test_run_is_bitwise_deterministic():
 
     a, b = run(make()), run(make())
     np.testing.assert_array_equal(
-        a.ensembles[-1].positions, b.ensembles[-1].positions
+        a.final.positions, b.final.positions
     )
     assert [r.f_eps for r in a.records] == [r.f_eps for r in b.records]
     assert [r.diss_residual for r in a.records] == [r.diss_residual for r in b.records]
+
+
+def test_trajectory_keeps_records_and_only_the_last_cloud():
+    spec = RunSpec(
+        reg=heat_reg(0.2),
+        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        velocity=VelocityConfig.quadratic(),
+        initial=gaussian_cloud(16),
+        t_final=0.05,
+        dt=0.001,
+        record_every=1,
+    )
+    clouds = []
+    traj = run(spec, on_record=lambda rec, ens: clouds.append(ens))
+    assert len(clouds) == 51  # the initial cloud and one per step
+    np.testing.assert_array_equal(traj.final.positions, clouds[-1].positions)
+    assert len(traj.records) == len(clouds)
+    for f in dataclasses.fields(traj):
+        value = getattr(traj, f.name)
+        assert not (
+            isinstance(value, (list, tuple))
+            and any(isinstance(v, ParticleEnsemble) for v in value)
+        ), f"Trajectory.{f.name} holds per-record clouds"
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +468,7 @@ def test_dissipation_residual_short_windows_are_zero(heat_run):
 
 def test_energy_value_matches_direct_sum(heat_run):
     spec, traj = heat_run
-    e = traj.ensembles[0]
+    e = spec.initial
     grid = build_grid(e, 0.2)
     f = compute_fields(e, spec.reg, spec.kernel, grid, with_zeta=False)
     direct = float(np.sum(np.asarray(reg_value(spec.reg, f.mu))) * grid.cell)

@@ -11,7 +11,6 @@ from blobflow.mollifier import (
     kernel_norms,
     kernel_value,
     mollified_density,
-    mollified_density_gradient,
     radial_profile,
     validate_kernel,
 )
@@ -156,21 +155,6 @@ def test_mollified_density_mass_and_dense_agreement():
     assert float(mu.sum() * hgrid) == pytest.approx(1.0, abs=1e-8)
     dense = kernel_value(k, nodes[:, None, :] - pos[None, :, :]).mean(axis=1)
     np.testing.assert_allclose(mu, dense, rtol=1e-13, atol=1e-18)
-
-
-def test_mollified_density_gradient_matches_fd():
-    rng = np.random.default_rng(3)
-    pos = rng.normal(size=(21, 2), scale=0.5)
-    e = ParticleEnsemble(positions=pos, time=0.0, seed=0)
-    k = MollifierKernel.gaussian(0.3, dimension=2)
-    pts = rng.uniform(-0.5, 0.5, size=(16, 2))
-    grad = mollified_density_gradient(e, k, pts)
-    h = 1e-6
-    for ax in range(2):
-        shift = np.zeros(2)
-        shift[ax] = h
-        fd = (mollified_density(e, k, pts + shift) - mollified_density(e, k, pts - shift)) / (2 * h)
-        np.testing.assert_allclose(grad[:, ax], fd, atol=1e-5)
 
 
 def _window_case(kind, d):
