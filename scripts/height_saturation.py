@@ -17,7 +17,7 @@ DEFAULT_CONFIG = os.path.join(HERE, os.pardir, "configs", "height_saturation.ini
 
 def density_peak(spec, ensemble) -> float:
     grid = build_grid(ensemble, spec.kernel.epsilon, padding=spec.grid_padding)
-    fields = compute_fields(ensemble, spec.reg, spec.kernel, grid, with_zeta=False)
+    fields = compute_fields(ensemble, spec.reg, spec.kernel, grid)
     return float(fields.mu.max())
 
 

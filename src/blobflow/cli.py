@@ -281,6 +281,7 @@ def _reference(cfg: SimConfig, family):
     """Time-indexed comparison target, or None."""
     import numpy as np
 
+    from .dynamics import VelocityConfig
     from .reference import (
         barenblatt_reference,
         gaussian_reference,
@@ -299,10 +300,11 @@ def _reference(cfg: SimConfig, family):
     if cfg.reference_kind == "gaussian":
         ref = gaussian_reference(d, cfg.reference_sigma)
         return lambda t: ref
+    # validation admits steady_state only with [velocity] kind = quadratic
     box = (np.full(d, -8.0), np.full(d, 8.0))
     ss = steady_state(
         family,
-        lambda p: 0.5 * np.einsum("ij,ij->i", p, p),
+        VelocityConfig.quadratic().potential,
         box,
         resolution=cfg.w1_resolution,
     )

@@ -3,9 +3,10 @@
 Particles move by x_i' = -grad p(x_i) - v(x_i) where p = phi_eps * q,
 q = f_reg'(mu), mu = phi_eps * (particle empirical measure). Convolutions are
 evaluated by midpoint quadrature on a tensor grid that tracks the cloud;
-fields are rebuilt at every integrator stage. Diagnostics per record: energy,
-mollified entropy, second moment, dissipation residual, cross-term sign,
-stability constant, and optional W1-to-reference. The mollifier-exchange
+only mu and q are rebuilt at every integrator stage, and the node gradients
+and zeta are derived when a diagnostic reads them. Diagnostics per record:
+energy, mollified entropy, second moment, dissipation residual, cross-term
+sign, stability constant, and optional W1-to-reference. The mollifier-exchange
 residual is a function of one cloud (exchange_residual), not a per-record
 diagnostic; its CSV column stays empty.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -129,18 +131,30 @@ def build_grid(
 
 @dataclass(frozen=True)
 class FieldSnapshot:
-    """mu, q = f_reg'(mu), optional zeta = f_reg*(q), and their node
-    gradients on a quadrature grid. Carries the energy it was built with and
-    the particle window that scattered mu, for the gather at the same cloud."""
+    """mu and q = f_reg'(mu) on a quadrature grid, with the energy they were
+    built with and the particle window that scattered mu, for the gather at
+    the same cloud. The node gradients and zeta = f_reg*(q) are computed on
+    first access and cached."""
 
     grid: QuadratureGrid
     reg: RegularizedEnergy
     mu: np.ndarray
     q: np.ndarray
-    grad_mu: np.ndarray
-    grad_q: np.ndarray
-    zeta: Optional[np.ndarray] = None
     window: Optional[GridWindow] = None
+
+    @cached_property
+    def grad_mu(self) -> np.ndarray:
+        return _node_gradients(self.grid, self.mu)
+
+    @cached_property
+    def grad_q(self) -> np.ndarray:
+        return _node_gradients(self.grid, self.q)
+
+    @cached_property
+    def zeta(self) -> np.ndarray:
+        # Fenchel-Young equality at the maximizer: f*(f'(mu)) = mu q - f(mu)
+        f_mu = np.asarray(reg_value(self.reg, self.mu))
+        return np.maximum(self.mu * self.q - f_mu, 0.0)
 
 
 def _node_gradients(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
@@ -157,9 +171,8 @@ def compute_fields(
     reg: RegularizedEnergy,
     k: MollifierKernel,
     grid: QuadratureGrid,
-    with_zeta: bool = True,
 ) -> FieldSnapshot:
-    """Evaluate mu, q, zeta and node gradients for the current cloud.
+    """Evaluate mu and q for the current cloud.
 
     mu is scattered through the cloud's window on the grid; its values are
     those of mollified_density(e, k, grid.nodes).
@@ -167,20 +180,7 @@ def compute_fields(
     window = GridWindow(k, e, grid.axes)
     mu = window.scatter()
     q = np.asarray(reg_derivative(reg, mu))
-    zeta = None
-    if with_zeta:
-        # Fenchel-Young equality at the maximizer: f*(f'(mu)) = mu q - f(mu)
-        zeta = np.maximum(mu * q - np.asarray(reg_value(reg, mu)), 0.0)
-    return FieldSnapshot(
-        grid=grid,
-        reg=reg,
-        mu=mu,
-        q=q,
-        grad_mu=_node_gradients(grid, mu),
-        grad_q=_node_gradients(grid, q),
-        zeta=zeta,
-        window=window,
-    )
+    return FieldSnapshot(grid=grid, reg=reg, mu=mu, q=q, window=window)
 
 
 def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.ndarray:
@@ -370,7 +370,8 @@ def exchange_residual(
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """One diagnostics row; dissipation_rate is carried for the residual
-    quadrature but is not a CSV column."""
+    quadrature but is not a CSV column, and the exchange_residual column is
+    always empty."""
 
     t: float
     f_eps: float
@@ -380,7 +381,6 @@ class DiagnosticsRecord:
     min_cross_term: float
     lipschitz_estimate: float
     w1_to_reference: Optional[float] = None
-    exchange_residual: Optional[float] = None
     dissipation_rate: float = 0.0
 
     CSV_HEADER = (
@@ -399,7 +399,7 @@ class DiagnosticsRecord:
             self.min_cross_term,
             self.lipschitz_estimate,
             self.w1_to_reference,
-            self.exchange_residual,
+            None,
         )
 
     def csv_row(self) -> str:
@@ -441,7 +441,6 @@ class SimState:
 
     spec: RunSpec
     ensemble: ParticleEnsemble
-    grid: QuadratureGrid
     fields: FieldSnapshot
     pressure_grad: np.ndarray  # grad p at the particles
 
@@ -458,8 +457,8 @@ class Trajectory:
 
 
 def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
-    """(grid, fields, grad p) at one integrator stage. The grid is kept
-    unless any particle enters the 2-eps shell at its edge."""
+    """(fields, grad p) at one integrator stage. The grid is kept unless any
+    particle enters the 2-eps shell at its edge."""
     if grid is None or not grid.covers(positions, slack=2.0 * spec.kernel.epsilon):
         grid = build_grid(
             positions,
@@ -468,8 +467,8 @@ def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid])
             spacing_fraction=spec.grid_spacing_fraction,
             node_budget=spec.grid_node_budget,
         )
-    fields = compute_fields(positions, spec.reg, spec.kernel, grid, with_zeta=False)
-    return grid, fields, pressure_gradient_at(fields, spec.kernel, positions)
+    fields = compute_fields(positions, spec.reg, spec.kernel, grid)
+    return fields, pressure_gradient_at(fields, spec.kernel, positions)
 
 
 def _velocity(spec: RunSpec, positions: np.ndarray, pressure_grad: np.ndarray) -> np.ndarray:
@@ -484,12 +483,12 @@ def _velocity(spec: RunSpec, positions: np.ndarray, pressure_grad: np.ndarray) -
 
 
 def make_state(spec: RunSpec, ensemble: ParticleEnsemble) -> SimState:
-    grid, fields, gp = _stage(spec, ensemble.positions, None)
-    return SimState(spec=spec, ensemble=ensemble, grid=grid, fields=fields, pressure_grad=gp)
+    fields, gp = _stage(spec, ensemble.positions, None)
+    return SimState(spec=spec, ensemble=ensemble, fields=fields, pressure_grad=gp)
 
 
-def step(state: SimState, dt: float, scheme: str | None = None) -> SimState:
-    """Advance every particle by one explicit step of the chosen scheme.
+def step(state: SimState, dt: float) -> SimState:
+    """Advance every particle by one explicit step of the spec's scheme.
 
     Stage fields are recomputed at each stage position; the grid follows the
     cloud whenever it drifts into the boundary shell.
@@ -497,29 +496,26 @@ def step(state: SimState, dt: float, scheme: str | None = None) -> SimState:
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     spec = state.spec
-    scheme = spec.scheme if scheme is None else scheme
     x0 = state.ensemble.positions
-    grid = state.grid
+    grid = state.fields.grid
 
     v = _velocity(spec, x0, state.pressure_grad)
-    if scheme == EULER:
+    if spec.scheme == EULER:
         x_new = x0 + dt * v
-    elif scheme == RK4:
+    else:
         total = v
         for offset, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
             x = x0 + offset * dt * v
-            grid, _, gp = _stage(spec, x, grid)
+            fields, gp = _stage(spec, x, grid)
+            grid = fields.grid
             v = _velocity(spec, x, gp)
             total = total + weight * v
         x_new = x0 + dt / 6.0 * total
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
 
-    grid, fields, gp = _stage(spec, x_new, grid)
+    fields, gp = _stage(spec, x_new, grid)
     return SimState(
         spec=spec,
         ensemble=state.ensemble.advanced(x_new, state.ensemble.time + dt),
-        grid=grid,
         fields=fields,
         pressure_grad=gp,
     )
@@ -533,9 +529,7 @@ def _dissipation_rate(state: SimState) -> float:
     return float(per.mean())
 
 
-def _record(
-    state: SimState, trajectory: Trajectory, c_eps: float, on_record=None
-) -> None:
+def _record(state: SimState, trajectory: Trajectory, on_record=None) -> None:
     spec = state.spec
     t = state.ensemble.time
     f_now = energy_F_eps(state.fields)
@@ -550,7 +544,7 @@ def _record(
         m2=second_moment(state.ensemble),
         diss_residual=0.0,
         min_cross_term=min_ct,
-        lipschitz_estimate=c_eps,
+        lipschitz_estimate=trajectory.c_eps,
         w1_to_reference=w1,
         dissipation_rate=_dissipation_rate(state),
     )
@@ -585,7 +579,7 @@ def run(spec: RunSpec, on_record=None) -> Trajectory:
 
     state = make_state(spec, spec.initial)
     trajectory = Trajectory(c_eps=c_eps, dt=dt)
-    _record(state, trajectory, c_eps, on_record)
+    _record(state, trajectory, on_record)
     if spec.t_final == 0.0:
         return trajectory
 
@@ -597,5 +591,5 @@ def run(spec: RunSpec, on_record=None) -> Trajectory:
             continue
         state = step(state, h)
         if k % spec.record_every == 0 or k == n_steps:
-            _record(state, trajectory, c_eps, on_record)
+            _record(state, trajectory, on_record)
     return trajectory

@@ -25,7 +25,7 @@ from .convex_energy import (
     POROUS_MEDIUM,
     EnergyFamily,
 )
-from .ensemble import ReferenceDensity
+from .ensemble import ReferenceDensity, _tensor_grid
 
 
 @dataclass(frozen=True)
@@ -271,17 +271,6 @@ class SteadyState:
 
     def density(self, pts) -> np.ndarray:
         return self.reference.pdf(pts)
-
-
-def _tensor_grid(lo: np.ndarray, hi: np.ndarray, per_axis: int):
-    axes = [
-        lo[i] + (hi[i] - lo[i]) * (np.arange(per_axis) + 0.5) / per_axis
-        for i in range(len(lo))
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    cell = float(np.prod((hi - lo) / per_axis))
-    return pts, cell
 
 
 def steady_state(

@@ -228,14 +228,14 @@ def sampling_run(tmp_path_factory):
     return cfg, _execute_all(cfg, tmp_path_factory.mktemp("sampling"))
 
 
-def _snapshot_fields(spec, ensemble, with_zeta=False):
+def _snapshot_fields(spec, ensemble):
     grid = build_grid(
         ensemble,
         spec.kernel.epsilon,
         padding=spec.grid_padding,
         spacing_fraction=spec.grid_spacing_fraction,
     )
-    return compute_fields(ensemble, spec.reg, spec.kernel, grid, with_zeta=with_zeta)
+    return compute_fields(ensemble, spec.reg, spec.kernel, grid)
 
 
 def _finals(results):
@@ -573,7 +573,7 @@ def test_second_moment_growth(heat_runs):
     # regularized pressure; the heat equation's 2dT is its delta -> 0 limit
     pressure = []
     for ensemble in results[eps].clouds:
-        f = _snapshot_fields(spec, ensemble, with_zeta=True)
+        f = _snapshot_fields(spec, ensemble)
         pressure.append(float(np.sum(f.zeta) * f.grid.cell))
     target = 2.0 * d * float(np.trapezoid(pressure, [r.t for r in records]))
     continuum = 2.0 * d * cfg.t_final

@@ -183,8 +183,10 @@ def test_invalid_beta_cites_the_schedule_bound(tmp_path, capsys):
         tmp_path,
         base_config(flow="epsilon = 0.2\nbeta = 1.0\nt_final = 0.02\ndt = 0.002"),
     )
-    assert main(["run", "--config", path, "--quiet"]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 2
     assert "(r - d)/(r - 1)" in capsys.readouterr().err
+    assert "ConfigError" in json.loads((out / "summary.json").read_text())["error"]
 
 
 def test_invalid_beta_in_two_dimensions(tmp_path, capsys):
@@ -196,9 +198,11 @@ def test_invalid_beta_in_two_dimensions(tmp_path, capsys):
         particles="n = 16\nseed = 1\ninit = rejection",
     )
     path = write_config(tmp_path, text)
-    assert main(["run", "--config", path, "--quiet"]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "(r - d)/(r - 1)" in err and "0.75" in err
+    assert "ConfigError" in json.loads((out / "summary.json").read_text())["error"]
 
 
 def test_run_rejects_an_epsilon_list(tmp_path, capsys):

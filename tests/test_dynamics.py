@@ -13,6 +13,7 @@ from blobflow.convex_energy import (
 from blobflow.ensemble import ParticleEnsemble, prepare_initial_particles
 from blobflow.mollifier import MollifierKernel, kernel_norms, kernel_value
 from blobflow.reference import gaussian_reference, steady_state
+from blobflow import dynamics
 from blobflow.dynamics import (
     EULER,
     RK4,
@@ -133,14 +134,6 @@ def test_zeta_is_the_convex_conjugate():
         assert f.zeta[g] == pytest.approx(dense, abs=1e-7)
 
 
-def test_zeta_skipped_on_request():
-    reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
-    e = gaussian_cloud(8)
-    f = compute_fields(e, reg, k, build_grid(e, 0.2), with_zeta=False)
-    assert f.zeta is None
-
-
 def test_gradient_sandwich_q_versus_mu():
     # q = g(mu) with g Lipschitz of constant delta + 1/delta, and both
     # gradients come from the same stencil, so the bound survives discretely
@@ -179,7 +172,7 @@ def test_pressure_gradient_matches_finite_differences():
     k = MollifierKernel.gaussian(0.2, dimension=1)
     e = gaussian_cloud(32)
     grid = build_grid(e, 0.2)
-    f = compute_fields(e, reg, k, grid, with_zeta=False)
+    f = compute_fields(e, reg, k, grid)
     qs = (f.q - reg.derivative_at_zero) * grid.cell
 
     def scalar_p(x):
@@ -197,7 +190,7 @@ def test_pressure_gradient_rejects_outside_queries():
     reg = heat_reg(0.2)
     k = MollifierKernel.gaussian(0.2, dimension=1)
     e = gaussian_cloud(8)
-    f = compute_fields(e, reg, k, build_grid(e, 0.2), with_zeta=False)
+    f = compute_fields(e, reg, k, build_grid(e, 0.2))
     far = np.array([[50.0], [0.0]])
     with pytest.raises(ValueError, match=r"indices \[0\]"):
         pressure_gradient_at(f, k, far)
@@ -211,7 +204,7 @@ def test_single_particle_pressure_gradient_vanishes():
     reg = heat_reg(0.2)
     k = MollifierKernel.gaussian(0.2, dimension=1)
     e = ParticleEnsemble(np.array([[0.3]]), time=0.0, seed=0)
-    f = compute_fields(e, reg, k, build_grid(e, 0.2), with_zeta=False)
+    f = compute_fields(e, reg, k, build_grid(e, 0.2))
     gp = pressure_gradient_at(f, k, e.positions)
     assert abs(gp[0, 0]) < 1e-10
 
@@ -304,8 +297,6 @@ def test_step_validates_dt_and_scheme():
     state = make_state(spec, spec.initial)
     with pytest.raises(ValueError):
         step(state, 0.0)
-    with pytest.raises(ValueError):
-        step(state, 0.01, scheme="midpoint")
 
 
 def test_runspec_validation():
@@ -420,6 +411,32 @@ def test_trajectory_keeps_records_and_only_the_last_cloud():
         ), f"Trajectory.{f.name} holds per-record clouds"
 
 
+def test_node_gradients_are_taken_only_at_records(monkeypatch):
+    # the stages need mu and q only; grad mu and grad q feed the cross-term
+    # diagnostic, one pair per record
+    calls = []
+    node_gradients = dynamics._node_gradients
+
+    def counted(grid, values):
+        calls.append(grid.node_count)
+        return node_gradients(grid, values)
+
+    monkeypatch.setattr(dynamics, "_node_gradients", counted)
+    spec = RunSpec(
+        reg=heat_reg(0.2),
+        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        velocity=VelocityConfig.quadratic(),
+        initial=gaussian_cloud(16),
+        t_final=0.02,
+        dt=0.002,
+        scheme=RK4,
+        record_every=5,
+    )
+    traj = run(spec)
+    assert len(traj.records) == 3  # t = 0 and after steps 5 and 10
+    assert len(calls) == 2 * len(traj.records)
+
+
 # ---------------------------------------------------------------------------
 # energy bookkeeping along a run
 
@@ -470,7 +487,7 @@ def test_energy_value_matches_direct_sum(heat_run):
     spec, traj = heat_run
     e = spec.initial
     grid = build_grid(e, 0.2)
-    f = compute_fields(e, spec.reg, spec.kernel, grid, with_zeta=False)
+    f = compute_fields(e, spec.reg, spec.kernel, grid)
     direct = float(np.sum(np.asarray(reg_value(spec.reg, f.mu))) * grid.cell)
     assert energy_F_eps(f) == pytest.approx(direct, rel=1e-14)
 
@@ -486,7 +503,7 @@ def test_exchange_residual_decays_with_epsilon():
         reg = heat_reg(eps)
         k = MollifierKernel.gaussian(eps, dimension=1)
         grid = build_grid(e, eps)
-        f = compute_fields(e, reg, k, grid, with_zeta=False)
+        f = compute_fields(e, reg, k, grid)
         return exchange_residual(e, f, k, lambda p: np.sin(p[:, 0]))
 
     coarse, fine = res(0.2), res(0.05)
@@ -502,7 +519,7 @@ def test_exchange_residual_constant_test_function():
     )
     reg = heat_reg(0.1)
     k = MollifierKernel.gaussian(0.1, dimension=1)
-    f = compute_fields(e, reg, k, build_grid(e, 0.1), with_zeta=False)
+    f = compute_fields(e, reg, k, build_grid(e, 0.1))
     assert exchange_residual(e, f, k, lambda p: np.ones(p.shape[0])) < 5e-3
 
 
