@@ -588,8 +588,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=0,
-            help="cap numeric thread pools (0 = leave as-is)",
+            default=1,
+            help="cap numeric thread pools (default 1; 0 = leave as-is)",
         )
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
     return parser

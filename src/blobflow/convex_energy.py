@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 HEAT = "heat"
 POROUS_MEDIUM = "porous_medium"
@@ -157,6 +156,13 @@ def _newton_bisect(g_and_gp, lo, hi, scale, max_iter: int = 200, tol: float = 1e
     )
 
 
+def xlogx(x):
+    """x log x elementwise, with 0 log 0 = 0."""
+    x = np.asarray(x, dtype=float)
+    zero = x == 0.0
+    return np.where(zero, 0.0, x * np.log(np.where(zero, 1.0, x)))
+
+
 def energy_value(family: EnergyFamily, a):
     """f(a), with +inf outside the effective domain."""
     arr, scalar = _prepare(a)
@@ -164,7 +170,7 @@ def energy_value(family: EnergyFamily, a):
     neg = arr < 0.0
     safe = np.where(neg, 0.0, arr)
     if k == HEAT:
-        val = xlogy(safe, safe) - safe
+        val = xlogx(safe) - safe
     elif k in (POROUS_MEDIUM, FAST_DIFFUSION):
         m = family.m
         with np.errstate(all="ignore"):

@@ -23,9 +23,8 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
-from .convex_energy import RegularizedEnergy, reg_derivative, reg_value
+from .convex_energy import RegularizedEnergy, reg_derivative, reg_value, xlogx
 from .ensemble import ParticleEnsemble, ReferenceDensity, second_moment, w1_vs_density
 from .mollifier import GridWindow, MollifierKernel, kernel_norms
 
@@ -321,7 +320,7 @@ def energy_F_eps(fields: FieldSnapshot) -> float:
 
 def entropy_mollified(fields: FieldSnapshot) -> float:
     """S(mu) = sum_g w_g mu log mu with 0 log 0 = 0."""
-    return float(np.sum(xlogy(fields.mu, fields.mu)) * fields.grid.cell)
+    return float(np.sum(xlogx(fields.mu)) * fields.grid.cell)
 
 
 def cross_term_min(fields: FieldSnapshot) -> tuple[float, float]:

@@ -3,8 +3,9 @@ profiles, and steady states of energy + confining potential.
 
 All densities are returned as ReferenceDensity objects (pdf on a box, CDF in
 d=1) so initialization and W1 measurements share one interface. The
-Barenblatt mass constant is fixed by unit mass through cached radial
-quadrature; its d=1 CDF uses regularized incomplete beta functions.
+Barenblatt mass constant is fixed by unit mass in closed form, as a Beta
+integral; its d=1 CDF uses regularized incomplete beta functions. scipy.special
+is imported by the d=1 CDFs that need erf or betainc, on their first call.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, erf
 
 from .convex_energy import (
     FAST_DIFFUSION,
@@ -26,6 +25,7 @@ from .convex_energy import (
     EnergyFamily,
 )
 from .ensemble import ReferenceDensity, _tensor_grid
+from .mollifier import _beta, _surface_area
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ def heat_kernel_reference(d: int, t: float, width_sigmas: float = 10.0) -> Refer
     if d == 1:
 
         def cdf(xs):
+            from scipy.special import erf
+
             xs = np.asarray(xs, dtype=float)
             return 0.5 * (1.0 + erf(xs / math.sqrt(4.0 * t)))
 
@@ -101,19 +103,19 @@ def _barenblatt_exponents(m: float, d: int) -> tuple[float, float, float]:
 def barenblatt_constant(m: float, d: int) -> float:
     """Unit-mass constant of the self-similar profile (C - k|y|^2)_+^(1/(m-1)).
 
-    Fixed by radial quadrature of the profile; for m < 1 the profile is
-    (C + |k||y|^2)^(1/(m-1)) with integrable tails.
+    For m < 1 the profile is (C + |k||y|^2)^(1/(m-1)) with integrable tails.
+    The radial integral of the unit profile is a Beta integral:
+    int_0^1 s^(d-1) (1-s^2)^p ds = B(d/2, p+1)/2 for m > 1 and
+    int_0^inf s^(d-1) (1+s^2)^p ds = B(d/2, -p-d/2)/2 for m < 1.
     """
     _check_barenblatt_m(m, d)
     _, _, k = _barenblatt_exponents(m, d)
     p = 1.0 / (m - 1.0)
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    area = _surface_area(d)
     if m > 1.0:
-        integral, _ = quad(lambda s: s ** (d - 1) * (1.0 - s * s) ** p, 0.0, 1.0)
+        integral = _beta(d / 2.0, p + 1.0) / 2.0
     else:
-        integral, _ = quad(
-            lambda s: s ** (d - 1) * (1.0 + s * s) ** p, 0.0, np.inf, limit=200
-        )
+        integral = _beta(d / 2.0, -p - d / 2.0) / 2.0
     return float((abs(k) ** (d / 2.0) / (area * integral)) ** (1.0 / (p + d / 2.0)))
 
 
@@ -173,6 +175,8 @@ def barenblatt_reference(m: float, d: int, t: float) -> ReferenceDensity:
         edge = math.sqrt(c / abs(k)) * t**beta
 
         def cdf(xs):
+            from scipy.special import betainc
+
             xs = np.asarray(xs, dtype=float)
             u = xs / edge
             if m > 1.0:
@@ -206,6 +210,8 @@ def gaussian_reference(d: int, sigma: float, center: float = 0.0) -> ReferenceDe
     if d == 1:
 
         def cdf(xs):
+            from scipy.special import erf
+
             xs = np.asarray(xs, dtype=float)
             return 0.5 * (1.0 + erf((xs - center) / (sigma * math.sqrt(2.0))))
 

@@ -503,6 +503,78 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "flag,expect", [([], "1"), (["--threads", "3"], "3"), (["--threads", "0"], "2")]
+)
+def test_threads_default_to_one(tmp_path, monkeypatch, flag, expect):
+    # the pools are capped before the config is read, so a missing one will do
+    pools = [f"{name}_NUM_THREADS" for name in ("OMP", "OPENBLAS", "MKL", "NUMEXPR")]
+    for var in pools:
+        monkeypatch.setenv(var, "2")
+    assert main(["run", "--config", str(tmp_path / "missing.ini"), "--quiet"] + flag) == 2
+    assert {os.environ[var] for var in pools} == {expect}
+
+
+def _modules_loaded_by(script: str) -> set:
+    """The module names a fresh interpreter prints after running script."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script + "\nprint(' '.join(sorted(loaded)))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
+    # kernel norms and Barenblatt constants are numpy/math; scipy.integrate
+    # costs about 0.3 s of import and scipy.special as much again
+    heat2d = write_config(
+        tmp_path,
+        base_config(
+            family="kind = heat\ndimension = 2",
+            flow="epsilon = 0.3\nbeta = 0.5\nt_final = 0.01\ndt = 0.01",
+            particles="n = 64\nseed = 1\ninit = rejection",
+            initial="kind = heat_kernel\nt0 = 0.25",
+            reference="kind = self_similar\nresolution = 64",
+        ),
+        "heat2d.ini",
+    )
+    barenblatt = write_config(
+        tmp_path,
+        base_config(
+            family="kind = porous_medium\nm = 2.0\ndimension = 1",
+            particles="n = 32",
+            initial="kind = barenblatt\nt0 = 0.5",
+            reference="kind = self_similar",
+        ),
+        "barenblatt.ini",
+    )
+    run = (
+        "import sys\nfrom blobflow import cli\n"
+        "assert cli.main(['run', '--config', {cfg!r}, '--out', {out!r}, '--quiet']) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy.')]"
+    )
+    loaded = _modules_loaded_by(run.format(cfg=heat2d, out=str(tmp_path / "a")))
+    assert not {"scipy.integrate", "scipy.special"} & loaded
+    loaded = _modules_loaded_by(run.format(cfg=barenblatt, out=str(tmp_path / "b")))
+    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+
+    # the solve itself imports nothing: a module loaded lazily inside it
+    # (numpy.polynomial pulls in numpy.ma) would be timed as solve work
+    solve = (
+        "import sys\nfrom blobflow import cli, dynamics\n"
+        f"cfg = cli.parse_config({heat2d!r})\n"
+        "spec = cli.build_runspec(cfg, cfg.epsilons[0])\n"
+        "before = set(sys.modules)\n"
+        "dynamics.run(spec)\n"
+        "loaded = set(sys.modules) - before"
+    )
+    assert _modules_loaded_by(solve) == set()
+
+
 def test_readme_configuration_table_names_every_key():
     text = (ROOT / "README.md").read_text()
     table = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]

@@ -1,3 +1,5 @@
+from math import gamma
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,6 +33,38 @@ def test_gaussian_sup_2d():
     eps = 0.2
     n = kernel_norms(MollifierKernel.gaussian(eps, dimension=2), 2)
     assert n.sup == pytest.approx(1.0 / (2 * np.pi * eps**2), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        MollifierKernel.gaussian(0.17),
+        MollifierKernel.bump(0.17, order=3),
+        MollifierKernel.bump(0.17, order=4),
+        MollifierKernel.bump(0.17, order=6),
+    ],
+    ids=["gaussian", "bump3", "bump4", "bump6"],
+)
+def test_norms_match_exact_values_1d(k):
+    # in d = 1, g' <= 0 on the support and g'' changes sign once, at s0,
+    # where g' is least: both L1 norms are differences of g and g'
+    g, g1, _ = radial_profile(k, 1)
+    rad = k.support_radius
+    s0 = k.epsilon if k.kind == "gaussian" else k.epsilon / np.sqrt(2 * k.order - 1)
+    n = kernel_norms(k, 1)
+    assert n.grad_l1 == pytest.approx(2 * (g(0.0) - g(rad)), rel=1e-13)
+    assert n.hess_l1 == pytest.approx(2 * (g1(rad) - 2 * g1(s0)), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [3, 4, 6])
+def test_bump_amplitude_against_quadrature(d, order):
+    from scipy.integrate import quad
+
+    radial, _ = quad(lambda r: r ** (d - 1) * (1 - r * r) ** order, 0, 1, epsabs=0)
+    area = 2 * np.pi ** (d / 2) / gamma(d / 2)
+    peak = kernel_value(MollifierKernel.bump(1.0, d, order), np.zeros(d))
+    assert peak * area * radial == pytest.approx(1.0, rel=1e-13)
 
 
 def test_norms_scale_like_inverse_powers():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -63,6 +65,26 @@ def test_barenblatt_constant_closed_forms():
     assert barenblatt_constant(0.5, 1) == pytest.approx(
         (np.sqrt(3.0) * np.pi / 2.0) ** (2.0 / 3.0), rel=1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "m,d", [(2.0, 1), (3.0, 1), (0.5, 1), (0.4, 1), (2.0, 2), (0.6, 2), (1.5, 3), (0.75, 3)]
+)
+def test_barenblatt_constant_against_quadrature(m, d):
+    # unit mass of t^-alpha (C - k|y|^2 t^-2beta)_+^p fixes C through the
+    # radial integral of the unit profile, here by adaptive quadrature
+    from scipy.integrate import quad
+
+    alpha = d / (d * (m - 1) + 2)
+    k = alpha * (m - 1) / (2 * d * m)
+    p = 1 / (m - 1)
+    if m > 1:
+        radial, _ = quad(lambda s: s ** (d - 1) * (1 - s * s) ** p, 0, 1, epsabs=0)
+    else:
+        radial, _ = quad(lambda s: s ** (d - 1) * (1 + s * s) ** p, 0, np.inf, limit=200)
+    area = 2 * np.pi ** (d / 2) / math.gamma(d / 2)
+    expect = (abs(k) ** (d / 2) / (area * radial)) ** (1 / (p + d / 2))
+    assert barenblatt_constant(m, d) == pytest.approx(expect, rel=1e-13)
 
 
 @pytest.mark.parametrize("m,d", [(2.0, 1), (3.0, 1), (2.0, 2), (0.5, 1)])
