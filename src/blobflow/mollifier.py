@@ -1,13 +1,14 @@
-"""Radial mollifier kernels and mollified particle densities.
+"""Mollifier kernels and mollified particle densities.
 
-Two kernel shapes: a truncated Gaussian and a compactly supported polynomial
-bump (1 - |x/eps|^2)_+^q. Both are even, nonnegative, unit-mass probability
-densities scaled as eps^-d * shape(x / eps). Field evaluation against a
-particle cloud is chunked, with summation always along the particle axis in
-index order so reruns are bit-identical. mollified_density evaluates at
+Two kernel shapes: a Gaussian truncated to the cube max_a |x_a| <= R, so
+that it is a product of per-axis factors, and a compactly supported
+polynomial bump (1 - |x/eps|^2)_+^q. Both are even, nonnegative, unit-mass
+probability densities scaled as eps^-d * shape(x / eps). Field evaluation
+against a particle cloud is chunked, with summation always along the
+particle axis in index order so reruns are bit-identical. mollified_density evaluates at
 arbitrary points by a dense sum; GridWindow does the same on the nodes of a
 uniform grid, and its transpose back to the particles, over each particle's
-kernel stencil only.
+kernel stencil only; in d = 2 it runs the Gaussian as per-axis factors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ BUMP = "bump"
 # fixed chunk budgets keep the summation order independent of problem size
 _VALUE_BLOCK = 2**23
 _WINDOW_BLOCK = 2**17
+# particles per block of the separable (per-axis factor) path
+_FACTOR_BLOCK = 64
 
 # Gauss-Legendre rule on [-1, 1] for the panels of kernel_norms
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(40)
@@ -56,8 +59,11 @@ class MollifierKernel:
     effective_r tail-decay exponent quoted to the delta-schedule validity
                 check; must exceed max(d, 2)
     truncation_radius_multiple
-                Gaussian support cutoff in units of epsilon (exact zero
-                beyond); the bump is supported on |x| <= epsilon
+                Gaussian support cutoff R in units of epsilon: the support
+                is the cube max_a |x_a| <= R, with an exact zero outside,
+                so that the kernel is a product of per-axis factors (in
+                d = 1 the cube is the interval |x| <= R); the bump is
+                supported on the ball |x| <= epsilon
     order       bump exponent q >= 3 (C^2 smoothness), unused for gaussian
     """
 
@@ -115,15 +121,20 @@ def _amplitude(k: MollifierKernel, d: int) -> float:
     return _bump_constant(d, k.order) * k.epsilon ** (-d)
 
 
-def _radial_terms(k: MollifierKernel, d: int, r2, order: int = 0) -> tuple:
+def _radial_terms(k: MollifierKernel, d: int, r2, order: int = 0, sup2=None) -> tuple:
     """The one definition of each kernel profile: phi_eps as a function of
     r2 = |x|^2 in R^d, then, up to the given order, the factor c with
-    grad phi_eps(x) = c x and its derivative dc/d(r2)."""
+    grad phi_eps(x) = c x and its derivative dc/d(r2).
+
+    sup2 = max_a x_a^2 places the point against the truncated Gaussian's
+    cube support; left out, the point is taken on a coordinate axis
+    (sup2 = r2), as the radial profile is."""
     eps2 = k.epsilon * k.epsilon
     amp = _amplitude(k, d)
     if k.kind == GAUSSIAN:
         cut = k.support_radius
-        val = np.where(r2 <= cut * cut, amp * np.exp(-0.5 * r2 / eps2), 0.0)
+        inside = (r2 if sup2 is None else sup2) <= cut * cut
+        val = np.where(inside, amp * np.exp(-0.5 * r2 / eps2), 0.0)
         terms = (lambda: val, lambda: -val / eps2, lambda: val / (2.0 * eps2 * eps2))
     else:
         q = k.order
@@ -137,23 +148,24 @@ def _radial_terms(k: MollifierKernel, d: int, r2, order: int = 0) -> tuple:
     return tuple(term() for term in terms[: order + 1])
 
 
-def _squared_norm(x: np.ndarray) -> np.ndarray:
+def _terms_at(k: MollifierKernel, x, order: int) -> tuple:
+    """_radial_terms at the points x, shape (..., d)."""
+    x = np.asarray(x, dtype=float)
     if x.ndim < 1:
         raise ValueError("points must have an explicit spatial axis")
-    return np.einsum("...i,...i->...", x, x)
+    r2 = np.einsum("...i,...i->...", x, x)
+    return _radial_terms(k, x.shape[-1], r2, order, (x * x).max(axis=-1))
 
 
 def kernel_value(k: MollifierKernel, x):
     """phi_eps(x) for points in the last axis: x has shape (..., d)."""
-    x = np.asarray(x, dtype=float)
-    return _radial_terms(k, x.shape[-1], _squared_norm(x))[0]
+    return _terms_at(k, x, 0)[0]
 
 
 def kernel_gradient(k: MollifierKernel, x):
     """grad phi_eps(x), shape (..., d)."""
     x = np.asarray(x, dtype=float)
-    _, fac = _radial_terms(k, x.shape[-1], _squared_norm(x), 1)
-    return x * fac[..., None]
+    return x * _terms_at(k, x, 1)[1][..., None]
 
 
 def _positions(particles) -> np.ndarray:
@@ -185,16 +197,29 @@ class GridWindow:
 
     axes holds the evenly spaced node coordinates of each axis; nodes are
     numbered in C order of the axis product. Particle i touches only the
-    nodes within support_radius of it, which lie in a box of widths[a]
-    nodes along axis a starting at node start[i, a]. The boxes are indexed
-    and the kernel evaluated on them once, at construction; scatter() and
-    gather() then reuse them, so the work grows with N times the stencil
-    and not with N times the grid (particle-mesh layout; Hockney & Eastwood,
-    Computer Simulation Using Particles). Particles are taken in fixed
-    chunks of at most _WINDOW_BLOCK (particle, node) pairs, which bounds the
-    temporaries in any dimension and fixes every summation order. What is
-    kept between the passes is about 24 bytes per (particle, node) pair,
-    whatever the size of the grid.
+    nodes within support_radius of it along every axis, which lie in a box
+    of widths[a] nodes along axis a starting at node start[i, a]. The
+    kernel is evaluated on these boxes once, at construction; scatter() and
+    gather() then reuse it, so the work grows with N times the stencil and
+    not with N times the grid (particle-mesh layout; Hockney & Eastwood,
+    Computer Simulation Using Particles). There are two layouts:
+
+    - The Gaussian in d = 2 is a product of per-axis factors, the
+      fast-Gauss-transform observation (Greengard & Strain, SIAM J. Sci.
+      Stat. Comput. 12, 1991). The particles, stably sorted by their axis-0
+      start, are cut into blocks of _FACTOR_BLOCK. A block keeps, along each
+      axis, the band of nodes its boxes cover and on it the factors
+      phi1(y_g - x_ia) and phi1'(x_ia - y_g): 16 bytes per particle and
+      band node of each axis. scatter() and gather() are einsum
+      contractions of these factors with the band of the grid, never BLAS
+      products, whose summation order can change with the thread count.
+    - Every other kernel and dimension keeps the window itself: the flat
+      node index, the offsets, the value and the gradient factor of every
+      (particle, node) pair in the boxes, about 24 bytes per pair whatever
+      the size of the grid, in fixed chunks of at most _WINDOW_BLOCK pairs.
+
+    Either way the blocks and chunks are fixed by the cloud alone, so every
+    summation order is too.
     """
 
     def __init__(self, k: MollifierKernel, particles, axes):
@@ -215,14 +240,39 @@ class GridWindow:
         self.widths = tuple(int(w) for w in np.ceil(2.0 * radius / spacing) + 4)
         self.start = np.floor((pos - radius - first) / spacing).astype(np.intp) - 1
         n, d = pos.shape
-        step = max(1, _WINDOW_BLOCK // int(np.prod(self.widths)))
-        self._chunks = [
-            self._chunk(axes, slice(s, min(s + step, n))) for s in range(0, n, step)
-        ]
+        self._separable = k.kind == GAUSSIAN and d == 2
+        if self._separable:
+            order = np.argsort(self.start[:, 0], kind="stable")
+            self._parts = [
+                self._factor_block(axes, order[s : s + _FACTOR_BLOCK])
+                for s in range(0, n, _FACTOR_BLOCK)
+            ]
+        else:
+            step = max(1, _WINDOW_BLOCK // int(np.prod(self.widths)))
+            self._parts = [
+                self._chunk(axes, slice(s, min(s + step, n))) for s in range(0, n, step)
+            ]
 
     @property
     def node_count(self) -> int:
         return int(np.prod(self.shape))
+
+    def _factor_block(self, axes, rows: np.ndarray):
+        """For the particles in rows: the band of nodes along each axis that
+        holds all their boxes, clipped to the grid, and on it the kernel
+        factors phi1(y_g - x_ia) and derivative factors phi1'(x_ia - y_g),
+        shaped (len(rows), band)."""
+        bands, val, der = [], [], []
+        for a, nodes in enumerate(axes):
+            lo = max(int(self.start[rows, a].min()), 0)
+            hi = min(int(self.start[rows, a].max()) + self.widths[a], self.shape[a])
+            off = nodes[lo:hi] - self.positions[rows, a, None]
+            v, c = _radial_terms(self.kernel, 1, off * off, 1)
+            bands.append(slice(lo, hi))
+            val.append(v)
+            # phi1'(t) = c(t^2) t, and t = x - y = -offset
+            der.append(-c * off)
+        return rows, tuple(bands), val, der
 
     def _chunk(self, axes, rows: slice):
         """For the particles in rows: the flat node index of every window
@@ -240,20 +290,28 @@ class GridWindow:
             flat = flat * self.shape[a] + index.reshape(shape)
             offsets.append((axes[a][index] - self.positions[rows, a, None]).reshape(shape))
             on_grid = on_grid & inside.reshape(shape)
-        r2 = offsets[0] * offsets[0]
+        r2 = sup2 = offsets[0] * offsets[0]
         for off in offsets[1:]:
-            r2 = r2 + off * off
-        val, fac = _radial_terms(self.kernel, d, r2, 1)
+            sq = off * off
+            r2 = r2 + sq
+            sup2 = np.maximum(sup2, sq)
+        val, fac = _radial_terms(self.kernel, d, r2, 1, sup2)
         flat = np.broadcast_to(flat, r2.shape).ravel()
         return rows, flat, offsets, np.where(on_grid, val, 0.0), np.where(on_grid, fac, 0.0)
 
     def scatter(self) -> np.ndarray:
         """(phi_eps * rho^N) at every node, shape (G,): the values of
-        mollified_density(particles, k, nodes). np.bincount adds each node's
-        contributions in particle order."""
-        out = np.zeros(self.node_count)
-        for _, flat, _, val, _ in self._chunks:
-            out += np.bincount(flat, weights=val.ravel(), minlength=out.size)
+        mollified_density(particles, k, nodes). Each node's contributions
+        are added block by block, or in particle order by np.bincount."""
+        if self._separable:
+            out = np.zeros(self.shape)
+            for _, bands, val, _ in self._parts:
+                out[bands] += np.einsum("ia,ib->ab", *val)
+            out = out.ravel()
+        else:
+            out = np.zeros(self.node_count)
+            for _, flat, _, val, _ in self._parts:
+                out += np.bincount(flat, weights=val.ravel(), minlength=out.size)
         return out / self.positions.shape[0]
 
     def gather(self, weights) -> np.ndarray:
@@ -263,7 +321,14 @@ class GridWindow:
         if weights.shape != (self.node_count,):
             raise ValueError("gather needs one weight per grid node")
         out = np.empty(self.positions.shape)
-        for rows, flat, offsets, _, fac in self._chunks:
+        if self._separable:
+            grid = weights.reshape(self.shape)
+            for rows, bands, val, der in self._parts:
+                band = grid[bands]
+                out[rows, 0] = np.einsum("ib,ib->i", np.einsum("ia,ab->ib", der[0], band), val[1])
+                out[rows, 1] = np.einsum("ib,ib->i", np.einsum("ia,ab->ib", val[0], band), der[1])
+            return out
+        for rows, flat, offsets, _, fac in self._parts:
             # grad phi(x - y) = c(|x - y|^2) (x - y), and x - y = -offset
             scaled = fac * weights[flat].reshape(fac.shape)
             for a, off in enumerate(offsets):
@@ -328,7 +393,10 @@ def kernel_norms(k: MollifierKernel, d: int) -> KernelNorms:
     Hessian integrand has a kink there, and in d >= 2 a near-singularity
     just off the real axis. Each further panel doubles the radius up to the
     support edge, which keeps both norms within a few ulp of their exact
-    values in d = 1, 2, 3.
+    values in d = 1, 2, 3. The integrals stop at the radius R, so in d >= 2
+    they leave out the corners of the Gaussian's cube support, where the
+    kernel is below exp(-R^2 / (2 eps^2)) of its peak (exp(-32) at the
+    default R = 8 eps).
     """
     g, g1, g2 = radial_profile(k, d)
     area = _surface_area(d)

@@ -244,6 +244,29 @@ def test_setup_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
     assert "RejectionStallError" in summary["error"]
 
 
+def test_non_finite_velocity_exits_1_and_keeps_partial_outputs(tmp_path, capsys, monkeypatch):
+    from blobflow.dynamics import VelocityConfig
+
+    def evaluate(self, points):
+        drift = np.zeros_like(points)
+        drift[5] = np.nan
+        return drift
+
+    monkeypatch.setattr(VelocityConfig, "evaluate", evaluate)
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert "runtime error: FloatingPointError" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"].startswith("FloatingPointError")
+    assert "particle indices [5]" in summary["error"]
+    assert load_snapshot(out / "snapshot_initial.csv").n == 24
+    assert not (out / "snapshot_final.csv").exists()
+    header, rows = read_rows(out / "diagnostics.csv")
+    assert header == DIAG_HEADER
+    assert [float(row[0]) for row in rows] == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # run outputs
 
@@ -513,6 +536,36 @@ def test_threads_default_to_one(tmp_path, monkeypatch, flag, expect):
         monkeypatch.setenv(var, "2")
     assert main(["run", "--config", str(tmp_path / "missing.ini"), "--quiet"] + flag) == 2
     assert {os.environ[var] for var in pools} == {expect}
+
+
+def test_two_dimensional_run_independent_of_thread_count(tmp_path):
+    # a d = 2 Gaussian stage reduces per-axis kernel factors over blocks of
+    # 64 particles (N = 256 makes four). A BLAS product of these factors
+    # changes its summation order with the thread count in its edge tiles,
+    # which hold the last nodes of each band. With one eps of padding, many
+    # particles of a flat cloud reach the last grid nodes, and those near
+    # x = 0 have fine enough ulps for a last-bit change to show
+    path = write_config(
+        tmp_path,
+        base_config(
+            family="kind = heat\ndimension = 2",
+            flow="epsilon = 0.05\nbeta = 0.5\nt_final = 0.02\ndt = 0.01",
+            particles="n = 256\nseed = 1\ninit = rejection",
+            initial="kind = uniform\nhalf_width = 1.0\ncenter = -1.0",
+            reference="kind = none",
+            grid="padding = 1.0",
+        ),
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        command = ["run", "--config", path, "--out", str(out), "--quiet", "--threads", threads]
+        subprocess.run([sys.executable, "-m", "blobflow.cli"] + command, env=env, check=True)
+        files = ("diagnostics.csv", "snapshot_final.csv")
+        outputs.append([(out / name).read_bytes() for name in files])
+    assert outputs[0] == outputs[1]
+    assert load_snapshot(tmp_path / "threads1" / "snapshot_final.csv").time == pytest.approx(0.02)
 
 
 def _modules_loaded_by(script: str) -> set:

@@ -158,6 +158,20 @@ def test_compact_support_is_exact():
     assert kernel_value(kg, np.array([[1.7]])) == 0.0
 
 
+def test_gaussian_support_is_the_cube_in_2d():
+    # the truncated Gaussian is cut at max_a |x_a| <= R, so that it factors
+    # over the axes: (0.9R, 0.9R) lies outside the ball but inside the cube
+    k = MollifierKernel.gaussian(0.2, dimension=2)
+    rad = k.support_radius
+    corner = np.array([[0.9 * rad, 0.9 * rad], [-0.9 * rad, 0.9 * rad]])
+    assert np.all(kernel_value(k, corner) > 0.0)
+    assert np.all(kernel_gradient(k, corner) != 0.0)
+    past = rad * (1.0 + 1e-9)
+    outside = np.array([[past, 0.0], [0.5 * rad, -past], [-past, 0.9 * rad]])
+    np.testing.assert_array_equal(kernel_value(k, outside), 0.0)
+    np.testing.assert_array_equal(kernel_gradient(k, outside), 0.0)
+
+
 def test_bump_order_floor():
     with pytest.raises(ValueError):
         MollifierKernel.bump(0.2, dimension=1, order=2)
@@ -191,17 +205,22 @@ def test_mollified_density_mass_and_dense_agreement():
     np.testing.assert_allclose(mu, dense, rtol=1e-13, atol=1e-18)
 
 
-def _window_case(kind, d):
+def _window_case(kind, d, blocks=False):
     """A kernel, grid axes with unequal spacings, the C-ordered nodes, and a
-    cloud with particles inside the 2 eps shell at every box face."""
-    rng = np.random.default_rng(10 * d + len(kind))
+    cloud with particles inside the 2 eps shell at every box face. With
+    blocks, the d = 2 cloud has 250 particles, four separable blocks with
+    the last one partial, and an outlier at each end of each axis."""
+    rng = np.random.default_rng(10 * d + len(kind) + (7 if blocks else 0))
     eps = 0.1 if d == 1 else 0.25
     k = (
         MollifierKernel.gaussian(eps, dimension=d)
         if kind == "gaussian"
         else MollifierKernel.bump(eps, dimension=d)
     )
-    pos = rng.normal(scale=0.6, size=(40, d))
+    if blocks:
+        pos = np.vstack([rng.normal(scale=0.4, size=(236, d)), 1.8 * np.eye(d), -1.8 * np.eye(d)])
+    else:
+        pos = rng.normal(scale=0.6, size=(40, d))
     lo = pos.min(axis=0) - 6.0 * eps
     hi = pos.max(axis=0) + 6.0 * eps
     counts = np.ceil((hi - lo) / (eps * np.array([0.25, 0.2][:d]))).astype(int)
@@ -212,10 +231,15 @@ def _window_case(kind, d):
     return k, axes, nodes, pos
 
 
+WINDOW_CASES = pytest.mark.parametrize(
+    "d, blocks", [(1, False), (2, False), (2, True)], ids=["1", "2", "2-blocks"]
+)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_window_scatter_matches_dense_density(kind, d):
-    k, axes, nodes, pos = _window_case(kind, d)
+@WINDOW_CASES
+def test_window_scatter_matches_dense_density(kind, d, blocks):
+    k, axes, nodes, pos = _window_case(kind, d, blocks)
     window = GridWindow(k, pos, axes)
     assert all(w < n for w, n in zip(window.widths, window.shape))
     np.testing.assert_allclose(
@@ -224,9 +248,9 @@ def test_window_scatter_matches_dense_density(kind, d):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_window_gather_matches_dense_sum(kind, d):
-    k, axes, nodes, pos = _window_case(kind, d)
+@WINDOW_CASES
+def test_window_gather_matches_dense_sum(kind, d, blocks):
+    k, axes, nodes, pos = _window_case(kind, d, blocks)
     weights = np.random.default_rng(5).normal(size=nodes.shape[0])
     terms = kernel_gradient(k, pos[None, :, :] - nodes[:, None, :]) * weights[:, None, None]
     dense = terms.sum(axis=0)
@@ -235,6 +259,23 @@ def test_window_gather_matches_dense_sum(kind, d):
     got = GridWindow(k, pos, axes).gather(weights)
     assert np.all(np.abs(got - dense) <= 1e-13 * scale)
     assert np.abs(dense).max() > 1e-3 * scale.max()
+
+
+def test_window_blocks_case_covers_the_block_loop():
+    # the separable path sorts particles by axis-0 window start and cuts
+    # them into blocks of 64; the last is partial and the outliers' bands
+    # are clipped at the grid edge
+    k, axes, _, pos = _window_case("gaussian", 2, blocks=True)
+    window = GridWindow(k, pos, axes)
+    sizes = [len(rows) for rows, *_ in window._parts]
+    assert len(sizes) >= 4 and sizes[:-1] == [64] * (len(sizes) - 1) and 0 < sizes[-1] < 64
+    clipped = [
+        a
+        for _, bands, *_ in window._parts
+        for a, band in enumerate(bands)
+        if band.start == 0 or band.stop == window.shape[a]
+    ]
+    assert set(clipped) == {0, 1}
 
 
 def test_window_rejects_mismatched_inputs():
