@@ -8,7 +8,7 @@ import os
 import sys
 
 from blobflow.cli import build_runspec, main as blobflow_main, parse_config
-from blobflow.dynamics import build_grid, compute_fields
+from blobflow.dynamics import make_state
 from blobflow.ensemble import load_snapshot
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -16,9 +16,8 @@ DEFAULT_CONFIG = os.path.join(HERE, os.pardir, "configs", "height_saturation.ini
 
 
 def density_peak(spec, ensemble) -> float:
-    grid = build_grid(ensemble, spec.kernel.epsilon, padding=spec.grid_padding)
-    fields = compute_fields(ensemble, spec.reg, spec.kernel, grid)
-    return float(fields.mu.max())
+    """The largest node value of mu on the grid a run's stage would use."""
+    return float(make_state(spec, ensemble).fields.mu.max())
 
 
 def run(config: str, out: str) -> int:

@@ -200,6 +200,17 @@ def parse_config_text(text: str) -> SimConfig:
             "[initial] kind = barenblatt requires a porous_medium or "
             "fast_diffusion family"
         )
+    d = v["dimension"]
+    if d is not None and d >= 2 and v["init_mode"] == "quantile":
+        errors.append(
+            f"[particles] init = quantile requires [family] dimension = 1 "
+            f"(got {d}); use init = rejection"
+        )
+    if d is not None and d >= 3 and reference not in (None, "none"):
+        errors.append(
+            f"[reference] kind = {reference} requires [family] dimension 1 or 2 "
+            f"(got {d}): W1 to a density is measured in d = 1 and 2 only"
+        )
 
     if errors:
         raise ConfigError(errors)

@@ -163,24 +163,30 @@ def xlogx(x):
     return np.where(zero, 0.0, x * np.log(np.where(zero, 1.0, x)))
 
 
-def energy_value(family: EnergyFamily, a):
-    """f(a), with +inf outside the effective domain."""
+def _on_domain(family: EnergyFamily, a, heat, power):
+    """A closed form in a on dom(f), +inf outside it: heat(a) for the heat
+    family; power(a, m) for the power laws, evaluated under errstate and 0
+    at a = 0; 0 on [0, 1] for the height constraint. Negative a, and a above
+    the height cap, give +inf."""
     arr, scalar = _prepare(a)
     k = family.kind
     neg = arr < 0.0
     safe = np.where(neg, 0.0, arr)
     if k == HEAT:
-        val = xlogx(safe) - safe
+        val = heat(safe)
     elif k in (POROUS_MEDIUM, FAST_DIFFUSION):
-        m = family.m
         with np.errstate(all="ignore"):
-            val = safe**m / (m - 1.0)
+            val = power(safe, family.m)
         val = np.where(safe == 0.0, 0.0, val)
     else:
         val = np.zeros_like(safe)
         neg = neg | (arr > 1.0)
-    out = np.where(neg, INF, val)
-    return _finish(out, scalar)
+    return _finish(np.where(neg, INF, val), scalar)
+
+
+def energy_value(family: EnergyFamily, a):
+    """f(a), with +inf outside the effective domain."""
+    return _on_domain(family, a, lambda s: xlogx(s) - s, lambda s, m: s**m / (m - 1.0))
 
 
 def _energy_derivative(family: EnergyFamily, b):
@@ -331,20 +337,7 @@ def reg_conjugate(reg: RegularizedEnergy, b):
 
 def h1_slope(family: EnergyFamily, a):
     """e'(a) = a f'(a) - f(a): the dual-density integrand's slope."""
-    arr, scalar = _prepare(a)
-    k = family.kind
-    neg = arr < 0.0
-    safe = np.where(neg, 0.0, arr)
-    if k == HEAT:
-        val = safe
-    elif k in (POROUS_MEDIUM, FAST_DIFFUSION):
-        with np.errstate(all="ignore"):
-            val = safe**family.m
-        val = np.where(safe == 0.0, 0.0, val)
-    else:
-        val = np.zeros_like(safe)
-        neg = neg | (arr > 1.0)
-    return _finish(np.where(neg, INF, val), scalar)
+    return _on_domain(family, a, lambda s: s, lambda s, m: s**m)
 
 
 def h1_density(family: EnergyFamily, a):
@@ -352,21 +345,7 @@ def h1_density(family: EnergyFamily, a):
 
     Closed forms: a^2/2 (heat), a^(m+1)/(m+1) (power laws), 0 (height).
     """
-    arr, scalar = _prepare(a)
-    k = family.kind
-    neg = arr < 0.0
-    safe = np.where(neg, 0.0, arr)
-    if k == HEAT:
-        val = 0.5 * safe**2
-    elif k in (POROUS_MEDIUM, FAST_DIFFUSION):
-        m = family.m
-        with np.errstate(all="ignore"):
-            val = safe ** (m + 1.0) / (m + 1.0)
-        val = np.where(safe == 0.0, 0.0, val)
-    else:
-        val = np.zeros_like(safe)
-        neg = neg | (arr > 1.0)
-    return _finish(np.where(neg, INF, val), scalar)
+    return _on_domain(family, a, lambda s: 0.5 * s**2, lambda s, m: s ** (m + 1.0) / (m + 1.0))
 
 
 def h1_density_quadrature(family: EnergyFamily, a, rtol: float = 1e-10):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .convex_energy import RegularizedEnergy, reg_derivative, reg_value, xlogx
 from .ensemble import ParticleEnsemble, ReferenceDensity, second_moment, w1_vs_density
-from .mollifier import GridWindow, MollifierKernel, kernel_norms
+from .mollifier import GridWindow, MollifierKernel, QuadratureGrid, _positions, kernel_norms
 
 # no longer called here, but perfbench/child.py wraps dynamics.mollified_density
 # when it traces a run, so the name stays a module attribute
@@ -38,51 +38,6 @@ RK4 = "rk4"
 
 class GridBudgetError(RuntimeError):
     """The requested quadrature grid exceeds the node budget."""
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Tensor-product midpoint grid covering the particle cloud.
-
-    axes holds the node coordinates along each axis; nodes are their
-    product, flattened in C order; cell is the midpoint weight
-    h_1 * ... * h_d.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    shape: tuple[int, ...]
-    spacing: np.ndarray
-    axes: tuple[np.ndarray, ...]
-    nodes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def cell(self) -> float:
-        return float(np.prod(self.spacing))
-
-    def covers(self, points: np.ndarray, slack: float = 0.0) -> bool:
-        return bool(
-            np.all(points >= self.lo + slack) and np.all(points <= self.hi - slack)
-        )
-
-    def interior_mask(self) -> np.ndarray:
-        """Boolean mask of nodes not on any axis boundary."""
-        mask = np.ones(self.shape, dtype=bool)
-        for ax in range(self.dim):
-            index = [slice(None)] * self.dim
-            index[ax] = 0
-            mask[tuple(index)] = False
-            index[ax] = -1
-            mask[tuple(index)] = False
-        return mask.ravel()
 
 
 def build_grid(
@@ -100,9 +55,7 @@ def build_grid(
         raise ValueError("grid padding must be positive")
     if not 0.0 < spacing_fraction <= 1.0:
         raise ValueError("spacing_fraction must lie in (0, 1]")
-    pos = np.asarray(getattr(e, "positions", e), dtype=float)
-    if pos.ndim != 2:
-        raise ValueError("positions must have shape (N, d)")
+    pos = _positions(e)
     lo = pos.min(axis=0) - padding * epsilon
     hi = pos.max(axis=0) + padding * epsilon
     target = spacing_fraction * epsilon
@@ -114,18 +67,7 @@ def build_grid(
             f"spacing <= {target:.4g} on box {lo.tolist()} .. {hi.tolist()}, "
             f"exceeding the budget of {node_budget}"
         )
-    spacing = (hi - lo) / counts
-    axes = tuple(lo[i] + spacing[i] * (np.arange(counts[i]) + 0.5) for i in range(len(lo)))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
-    return QuadratureGrid(
-        lo=lo,
-        hi=hi,
-        shape=tuple(int(c) for c in counts),
-        spacing=spacing,
-        axes=axes,
-        nodes=nodes,
-    )
+    return QuadratureGrid(lo, hi, counts)
 
 
 @dataclass(frozen=True)
@@ -176,7 +118,7 @@ def compute_fields(
     mu is scattered through the cloud's window on the grid; its values are
     those of mollified_density(e, k, grid.nodes).
     """
-    window = GridWindow(k, e, grid.axes)
+    window = GridWindow(k, e, grid)
     mu = window.scatter()
     q = np.asarray(reg_derivative(reg, mu))
     return FieldSnapshot(grid=grid, reg=reg, mu=mu, q=q, window=window)
@@ -201,7 +143,7 @@ def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.nd
         raise ValueError(f"query points outside the grid box at indices {bad[:8].tolist()}")
     window = fields.window
     if window is None or window.kernel != k or not np.array_equal(window.positions, xs):
-        window = GridWindow(k, xs, fields.grid.axes)
+        window = GridWindow(k, xs, fields.grid)
     return window.gather((fields.q - fields.reg.derivative_at_zero) * fields.grid.cell)
 
 
@@ -357,7 +299,7 @@ def exchange_residual(
     Both express int g grad p d(rho) after moving the mollifier across the
     pairing; the gap decays with eps at fixed schedule.
     """
-    pos = np.asarray(getattr(e, "positions", e), dtype=float)
+    pos = _positions(e)
     gp = pressure_gradient_at(fields, k, pos)
     gi = np.asarray(g_test(pos), dtype=float)
     lhs = (gi[:, None] * gp).sum(axis=0) / pos.shape[0]

@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .mollifier import QuadratureGrid
+
 # a Sinkhorn scaling whose log passes this is absorbed into its potential
 ABSORB_LOG = 100.0
 
@@ -260,21 +262,8 @@ def w1_vs_density(
     raise ValueError("w1_vs_density supports d = 1 and 2")
 
 
-def _tensor_grid(lo: np.ndarray, hi: np.ndarray, per_axis: int):
-    """(cell centres of per_axis cells along each axis of the box lo..hi, in
-    C order; the cell volume)."""
-    axes = [
-        lo[i] + (hi[i] - lo[i]) * (np.arange(per_axis) + 0.5) / per_axis
-        for i in range(len(lo))
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    cell = float(np.prod((hi - lo) / per_axis))
-    return pts, cell
-
-
 def _grid_atoms_2d(ref: ReferenceDensity, per_axis: int):
-    pts, _ = _tensor_grid(*ref.box, per_axis)
+    pts = QuadratureGrid(*ref.box, (per_axis, per_axis)).nodes
     w = ref.pdf(pts)
     w = np.maximum(w, 0.0)
     total = w.sum()

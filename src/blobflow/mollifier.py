@@ -5,17 +5,19 @@ that it is a product of per-axis factors, and a compactly supported
 polynomial bump (1 - |x/eps|^2)_+^q. Both are even, nonnegative, unit-mass
 probability densities scaled as eps^-d * shape(x / eps). Field evaluation
 against a particle cloud is chunked, with summation always along the
-particle axis in index order so reruns are bit-identical. mollified_density evaluates at
-arbitrary points by a dense sum; GridWindow does the same on the nodes of a
-uniform grid, and its transpose back to the particles, over each particle's
-kernel stencil only; in d = 2 it runs the Gaussian as per-axis factors.
+particle axis in index order so reruns are bit-identical. mollified_density
+evaluates at arbitrary points by a dense sum. QuadratureGrid is the one
+cell-centred tensor grid of the package, for the stage fields, the 2d W1
+atoms and the steady states; GridWindow does the dense sum on its nodes, and
+its transpose back to the particles, over each particle's kernel stencil
+only; in d = 2 it runs the Gaussian as per-axis factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -192,17 +194,89 @@ def mollified_density(particles, k: MollifierKernel, points):
     return out
 
 
-class GridWindow:
-    """The kernel stencil of a particle cloud on a uniform tensor grid.
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Cell-centred tensor-product midpoint grid: the box lo..hi cut into
+    shape[a] equal cells along axis a.
 
-    axes holds the evenly spaced node coordinates of each axis; nodes are
-    numbered in C order of the axis product. Particle i touches only the
-    nodes within support_radius of it along every axis, which lie in a box
-    of widths[a] nodes along axis a starting at node start[i, a]. The
-    kernel is evaluated on these boxes once, at construction; scatter() and
-    gather() then reuse it, so the work grows with N times the stencil and
-    not with N times the grid (particle-mesh layout; Hockney & Eastwood,
-    Computer Simulation Using Particles). There are two layouts:
+    spacing holds the cell widths and axes the cell centres along each
+    axis; nodes are their product, flattened in C order, and are built only
+    when read; cell is the midpoint weight h_1 * ... * h_d.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    shape: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
+        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        shape = tuple(int(c) for c in self.shape)
+        if lo.ndim != 1 or lo.shape != hi.shape or lo.size != len(shape):
+            raise ValueError("grid endpoints must have one entry per axis of the shape")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
+            raise ValueError("the grid box needs a positive finite extent along every axis")
+        if min(shape) < 1:
+            raise ValueError("each grid axis needs at least one cell")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "shape", shape)
+
+    @property
+    def dim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def node_count(self) -> int:
+        return math.prod(self.shape)
+
+    @cached_property
+    def spacing(self) -> np.ndarray:
+        return (self.hi - self.lo) / np.array(self.shape)
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            self.lo[a] + self.spacing[a] * (np.arange(n) + 0.5) for a, n in enumerate(self.shape)
+        )
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.column_stack([m.ravel() for m in mesh])
+
+    @property
+    def cell(self) -> float:
+        return float(np.prod(self.spacing))
+
+    def covers(self, points: np.ndarray, slack: float = 0.0) -> bool:
+        return bool(
+            np.all(points >= self.lo + slack) and np.all(points <= self.hi - slack)
+        )
+
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask of nodes not on any axis boundary."""
+        mask = np.ones(self.shape, dtype=bool)
+        for ax in range(self.dim):
+            index = [slice(None)] * self.dim
+            index[ax] = 0
+            mask[tuple(index)] = False
+            index[ax] = -1
+            mask[tuple(index)] = False
+        return mask.ravel()
+
+
+class GridWindow:
+    """The kernel stencil of a particle cloud on a QuadratureGrid.
+
+    Nodes are numbered in C order of the grid's axis product. Particle i
+    touches only the nodes within support_radius of it along every axis,
+    which lie in a box of widths[a] nodes along axis a starting at node
+    start[i, a]. The kernel is evaluated on these boxes once, at
+    construction; scatter() and gather() then reuse it, so the work grows
+    with N times the stencil and not with N times the grid (particle-mesh
+    layout; Hockney & Eastwood, Computer Simulation Using Particles). There
+    are two layouts:
 
     - The Gaussian in d = 2 is a product of per-axis factors, the
       fast-Gauss-transform observation (Greengard & Strain, SIAM J. Sci.
@@ -222,48 +296,43 @@ class GridWindow:
     summation order is too.
     """
 
-    def __init__(self, k: MollifierKernel, particles, axes):
+    def __init__(self, k: MollifierKernel, particles, grid: QuadratureGrid):
         pos = _positions(particles)
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        if len(axes) != pos.shape[1]:
-            raise ValueError("grid axes must match the particle dimension")
-        if any(a.ndim != 1 or a.size < 2 for a in axes):
-            raise ValueError("each grid axis needs at least two nodes")
-        first = np.array([a[0] for a in axes])
-        spacing = np.array([(a[-1] - a[0]) / (a.size - 1) for a in axes])
+        if grid.dim != pos.shape[1]:
+            raise ValueError("the grid dimension must match the particle dimension")
+        spacing = grid.spacing
         radius = k.support_radius
         self.kernel = k
         self.positions = pos
-        self.shape = tuple(a.size for a in axes)
+        self.grid = grid
+        self.shape = grid.shape
         # one node of slack at each end absorbs rounding in the index
         # arithmetic; entries past the support get an exact zero weight
         self.widths = tuple(int(w) for w in np.ceil(2.0 * radius / spacing) + 4)
+        first = np.array([a[0] for a in grid.axes])
         self.start = np.floor((pos - radius - first) / spacing).astype(np.intp) - 1
         n, d = pos.shape
         self._separable = k.kind == GAUSSIAN and d == 2
         if self._separable:
             order = np.argsort(self.start[:, 0], kind="stable")
             self._parts = [
-                self._factor_block(axes, order[s : s + _FACTOR_BLOCK])
-                for s in range(0, n, _FACTOR_BLOCK)
+                self._factor_block(order[s : s + _FACTOR_BLOCK]) for s in range(0, n, _FACTOR_BLOCK)
             ]
         else:
             step = max(1, _WINDOW_BLOCK // int(np.prod(self.widths)))
-            self._parts = [
-                self._chunk(axes, slice(s, min(s + step, n))) for s in range(0, n, step)
-            ]
+            self._parts = [self._chunk(slice(s, min(s + step, n))) for s in range(0, n, step)]
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return self.grid.node_count
 
-    def _factor_block(self, axes, rows: np.ndarray):
+    def _factor_block(self, rows: np.ndarray):
         """For the particles in rows: the band of nodes along each axis that
         holds all their boxes, clipped to the grid, and on it the kernel
         factors phi1(y_g - x_ia) and derivative factors phi1'(x_ia - y_g),
         shaped (len(rows), band)."""
         bands, val, der = [], [], []
-        for a, nodes in enumerate(axes):
+        for a, nodes in enumerate(self.grid.axes):
             lo = max(int(self.start[rows, a].min()), 0)
             hi = min(int(self.start[rows, a].max()) + self.widths[a], self.shape[a])
             off = nodes[lo:hi] - self.positions[rows, a, None]
@@ -274,12 +343,13 @@ class GridWindow:
             der.append(-c * off)
         return rows, tuple(bands), val, der
 
-    def _chunk(self, axes, rows: slice):
+    def _chunk(self, rows: slice):
         """For the particles in rows: the flat node index of every window
         entry, the node-minus-particle offsets along each axis, the kernel
         value and the gradient factor, shaped (chunk, widths...) or
         broadcast to it. Entries off the grid carry zero value and factor."""
         count = rows.stop - rows.start
+        axes = self.grid.axes
         d = len(axes)
         flat, offsets, on_grid = 0, [], True
         for a in range(d):

@@ -24,8 +24,8 @@ from .convex_energy import (
     POROUS_MEDIUM,
     EnergyFamily,
 )
-from .ensemble import ReferenceDensity, _tensor_grid
-from .mollifier import _beta, _surface_area
+from .ensemble import ReferenceDensity
+from .mollifier import QuadratureGrid, _beta, _surface_area
 
 
 @dataclass(frozen=True)
@@ -297,30 +297,25 @@ def steady_state(
     per_axis = resolution if d == 1 else int(max(16, round(resolution ** (1.0 / d))))
     if per_axis**d > 4_000_000:
         raise ValueError("steady-state grid exceeds the node budget")
-    pts, cell = _tensor_grid(lo, hi, per_axis)
-    v = np.asarray(potential(pts), dtype=float)
+    grid = QuadratureGrid(lo, hi, (per_axis,) * d)
+    v = np.asarray(potential(grid.nodes), dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("potential must be finite on the box")
 
-    shape = (per_axis,) * d
-    vt = v.reshape(shape)
-    interior = vt[(slice(1, -1),) * d] if per_axis > 2 else vt
-    boundary_min = vt.min() if interior.size == 0 else None
-    if interior.size:
-        mask = np.ones(shape, dtype=bool)
-        mask[(slice(1, -1),) * d] = False
-        boundary_min = vt[mask].min()
-        if not boundary_min >= interior.min() + margin:
+    interior = grid.interior_mask()
+    if interior.any():
+        boundary_min, interior_min = v[~interior].min(), v[interior].min()
+        if not boundary_min >= interior_min + margin:
             raise ValueError(
                 "potential is not confining on the box: boundary minimum "
                 f"{boundary_min:.4g} is not {margin} above interior minimum "
-                f"{interior.min():.4g}"
+                f"{interior_min:.4g}"
             )
 
     def mass(z: float) -> float:
         with np.errstate(all="ignore"):
             rho = base_conjugate_prime(family, z - v)
-        total = float(np.sum(rho) * cell)
+        total = float(np.sum(rho) * grid.cell)
         return np.inf if not np.isfinite(total) else total
 
     # mass is monotone increasing in Z (and +inf past min V for fast

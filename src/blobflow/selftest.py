@@ -2,8 +2,9 @@
 on the library's own validators; the pytest suite is the full specification.
 
 Each suite returns (name, ok, detail) tuples; run_all flattens them.
-inject_curvature_violation is a negative-control hook: it biases the curvature
-measured by the convex_energy suite so a deliberately broken build is seen to fail.
+suite_convex_energy takes a curvature_bias, zero in a healthy build, as a
+negative control: a nonzero bias shifts the measured curvature, so a
+deliberately broken build is seen to fail.
 """
 
 from __future__ import annotations
@@ -22,22 +23,8 @@ from .reference import barenblatt, gaussian_reference
 
 Check = tuple[str, bool, str]
 
-# additive bias applied to measured curvature; zero in a healthy build
-_curvature_injection = 0.0
 
-
-def inject_curvature_violation(amount: float = 10.0) -> None:
-    """Negative-control hook: shift the curvature seen by the energy suite."""
-    global _curvature_injection
-    _curvature_injection = float(amount)
-
-
-def clear_injections() -> None:
-    global _curvature_injection
-    _curvature_injection = 0.0
-
-
-def suite_convex_energy(seed: int = 0) -> list[Check]:
+def suite_convex_energy(seed: int = 0, curvature_bias: float = 0.0) -> list[Check]:
     rng = np.random.default_rng(seed)
     worst_fy, worst_lo, worst_hi, ok = 0.0, np.inf, -np.inf, True
     kinds = ("heat", "porous_medium", "fast_diffusion", "height_constraint")
@@ -53,7 +40,7 @@ def suite_convex_energy(seed: int = 0) -> list[Check]:
         lo, hi = reg.delta, reg.lipschitz_of_derivative
         a, h = rng.uniform(0.05, 5.0, size=256), 1e-4
         f2 = (reg_value(reg, a + h) - 2.0 * reg_value(reg, a) + reg_value(reg, a - h)) / h**2
-        f2 = f2 + _curvature_injection
+        f2 = f2 + curvature_bias
         worst_lo, worst_hi = min(worst_lo, float(f2.min())), max(worst_hi, float(f2.max()))
         ok &= bool(np.all(f2 >= lo - 1e-3 * hi) and np.all(f2 <= hi + 1e-3 * hi))
     curvature = f"FD curvature range [{worst_lo:.4f}, {worst_hi:.4f}] vs [delta, delta+1/delta]"

@@ -1,5 +1,6 @@
 """Config parsing, the command-line entry point, and its file outputs."""
 
+import functools
 import json
 import os
 import re
@@ -166,6 +167,18 @@ def test_cross_field_validation():
         parse_config_text(base_config(reference="kind = steady_state"))
     with pytest.raises(ConfigError):
         parse_config_text(base_config(initial="kind = barenblatt"))
+    # quantile placement needs a 1d target
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(base_config(family="kind = heat\ndimension = 2", reference="kind = none"))
+    assert any(m.startswith("[particles] init = quantile") for m in exc.value.messages)
+    # the W1 diagnostic exists in d = 1 and 2 only
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(
+            base_config(
+                family="kind = heat\ndimension = 3", particles="n = 24\ninit = rejection"
+            )
+        )
+    assert any(m.startswith("[reference] kind = gaussian") for m in exc.value.messages)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +216,14 @@ def test_invalid_beta_in_two_dimensions(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(r - d)/(r - 1)" in err and "0.75" in err
     assert "ConfigError" in json.loads((out / "summary.json").read_text())["error"]
+
+
+def test_unservable_dimension_exits_2(tmp_path, capsys):
+    text = base_config(family="kind = heat\ndimension = 3")
+    path = write_config(tmp_path, text)
+    assert main(["run", "--config", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "[particles] init = quantile" in err and "[reference] kind = gaussian" in err
 
 
 def test_run_rejects_an_epsilon_list(tmp_path, capsys):
@@ -437,12 +458,8 @@ def test_sample_quantile_start_stays_near_stationary(tmp_path):
 
 
 def test_selftest_negative_control_and_recovery():
-    selftest.inject_curvature_violation(10.0)
-    try:
-        checks = selftest.suite_convex_energy()
-        assert any(not ok for _, ok, _ in checks)
-    finally:
-        selftest.clear_injections()
+    checks = selftest.suite_convex_energy(curvature_bias=10.0)
+    assert any(not ok for _, ok, _ in checks)
     assert all(ok for _, ok, _ in selftest.suite_convex_energy())
 
 
@@ -460,14 +477,12 @@ def test_healthy_selftest_passes_every_check(capsys):
     }
 
 
-def test_selftest_cli_reports_failures(capsys):
-    selftest.inject_curvature_violation(10.0)
-    try:
-        assert main(["selftest", "--quiet"]) == 1
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-    finally:
-        selftest.clear_injections()
+def test_selftest_cli_reports_failures(capsys, monkeypatch):
+    biased = functools.partial(selftest.suite_convex_energy, curvature_bias=10.0)
+    monkeypatch.setattr(selftest, "SUITES", (biased,) + selftest.SUITES[1:])
+    assert main(["selftest", "--quiet"]) == 1
+    out = capsys.readouterr().out
+    assert "checks passed" in out
 
 
 # ---------------------------------------------------------------------------

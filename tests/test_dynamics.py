@@ -272,6 +272,23 @@ def single_particle_spec(scheme: str, dt: float, t_final: float) -> RunSpec:
     )
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_stages_never_build_the_node_array(d):
+    # a stage reads the grid's axes and spacing only; the (G, d) node array
+    # is built when a diagnostic reads it
+    init = ParticleEnsemble(np.random.default_rng(d).normal(size=(16, d)))
+    spec = RunSpec(
+        reg=heat_reg(0.2),
+        kernel=MollifierKernel.gaussian(0.2, dimension=d),
+        velocity=VelocityConfig.quadratic(),
+        initial=init,
+        t_final=0.01,
+    )
+    grid = step(make_state(spec, init), 0.01).fields.grid
+    assert "nodes" not in vars(grid)
+    assert grid.nodes.shape == (grid.node_count, d)
+
+
 def test_single_particle_in_quadratic_well_decays_exactly():
     # the self-forcing vanishes by symmetry, so x' = -x and x(t) = e^-t
     traj = run(single_particle_spec(RK4, 0.01, 0.5))

@@ -9,6 +9,7 @@ from blobflow.ensemble import ParticleEnsemble
 from blobflow.mollifier import (
     GridWindow,
     MollifierKernel,
+    QuadratureGrid,
     kernel_gradient,
     kernel_norms,
     kernel_value,
@@ -206,7 +207,7 @@ def test_mollified_density_mass_and_dense_agreement():
 
 
 def _window_case(kind, d, blocks=False):
-    """A kernel, grid axes with unequal spacings, the C-ordered nodes, and a
+    """A kernel, a grid with unequal spacings, its C-ordered nodes, and a
     cloud with particles inside the 2 eps shell at every box face. With
     blocks, the d = 2 cloud has 250 particles, four separable blocks with
     the last one partial, and an outlier at each end of each axis."""
@@ -228,7 +229,7 @@ def _window_case(kind, d, blocks=False):
     nodes = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
     shell = rng.uniform(0.0, 2.0 * eps, size=(8, d))
     pos = np.vstack([pos, lo + shell[:4], hi - shell[4:], lo, hi])
-    return k, axes, nodes, pos
+    return k, QuadratureGrid(lo, hi, counts), nodes, pos
 
 
 WINDOW_CASES = pytest.mark.parametrize(
@@ -239,8 +240,8 @@ WINDOW_CASES = pytest.mark.parametrize(
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
 @WINDOW_CASES
 def test_window_scatter_matches_dense_density(kind, d, blocks):
-    k, axes, nodes, pos = _window_case(kind, d, blocks)
-    window = GridWindow(k, pos, axes)
+    k, grid, nodes, pos = _window_case(kind, d, blocks)
+    window = GridWindow(k, pos, grid)
     assert all(w < n for w, n in zip(window.widths, window.shape))
     np.testing.assert_allclose(
         window.scatter(), mollified_density(pos, k, nodes), rtol=1e-13, atol=0.0
@@ -250,13 +251,13 @@ def test_window_scatter_matches_dense_density(kind, d, blocks):
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
 @WINDOW_CASES
 def test_window_gather_matches_dense_sum(kind, d, blocks):
-    k, axes, nodes, pos = _window_case(kind, d, blocks)
+    k, grid, nodes, pos = _window_case(kind, d, blocks)
     weights = np.random.default_rng(5).normal(size=nodes.shape[0])
     terms = kernel_gradient(k, pos[None, :, :] - nodes[:, None, :]) * weights[:, None, None]
     dense = terms.sum(axis=0)
     # signed terms cancel, so the error is measured against sum |term|
     scale = np.abs(terms).sum(axis=0)
-    got = GridWindow(k, pos, axes).gather(weights)
+    got = GridWindow(k, pos, grid).gather(weights)
     assert np.all(np.abs(got - dense) <= 1e-13 * scale)
     assert np.abs(dense).max() > 1e-3 * scale.max()
 
@@ -265,8 +266,8 @@ def test_window_blocks_case_covers_the_block_loop():
     # the separable path sorts particles by axis-0 window start and cuts
     # them into blocks of 64; the last is partial and the outliers' bands
     # are clipped at the grid edge
-    k, axes, _, pos = _window_case("gaussian", 2, blocks=True)
-    window = GridWindow(k, pos, axes)
+    k, grid, _, pos = _window_case("gaussian", 2, blocks=True)
+    window = GridWindow(k, pos, grid)
     sizes = [len(rows) for rows, *_ in window._parts]
     assert len(sizes) >= 4 and sizes[:-1] == [64] * (len(sizes) - 1) and 0 < sizes[-1] < 64
     clipped = [
@@ -280,13 +281,20 @@ def test_window_blocks_case_covers_the_block_loop():
 
 def test_window_rejects_mismatched_inputs():
     k = MollifierKernel.gaussian(0.2, dimension=1)
-    axes = [np.linspace(-1.0, 1.0, 9)]
+    grid = QuadratureGrid(-1.0, 1.0, (9,))
     with pytest.raises(ValueError):
-        GridWindow(k, np.zeros((3, 2)), axes)
+        GridWindow(k, np.zeros((3, 2)), grid)
     with pytest.raises(ValueError):
-        GridWindow(k, np.zeros((3, 1)), [np.zeros(1)])
+        GridWindow(k, np.zeros((3, 1)), grid).gather(np.zeros(8))
+
+
+def test_quadrature_grid_rejects_degenerate_boxes():
     with pytest.raises(ValueError):
-        GridWindow(k, np.zeros((3, 1)), axes).gather(np.zeros(8))
+        QuadratureGrid(np.array([0.0, -1.0]), np.array([0.0, 1.0]), (4, 4))
+    with pytest.raises(ValueError):
+        QuadratureGrid(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), (4,))
+    with pytest.raises(ValueError):
+        QuadratureGrid(np.array([-1.0]), np.array([1.0, 1.0]), (4,))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
