@@ -1,4 +1,4 @@
-"""Command-line front end: run / converge / sample / selftest.
+"""Command-line front end: run / converge / sample.
 
 Config files are flat INI; each key is one row of CONFIG_KEYS, unknown sections
 or keys are hard errors, and parse -> serialize -> parse is the identity. Thread
@@ -15,6 +15,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -211,6 +212,16 @@ def parse_config_text(text: str) -> SimConfig:
             f"[reference] kind = {reference} requires [family] dimension 1 or 2 "
             f"(got {d}): W1 to a density is measured in d = 1 and 2 only"
         )
+    cut = v["truncation_radius_multiple"]
+    if v["kernel_kind"] == "gaussian" and d is not None and cut is not None:
+        # the Gaussian cut on the cube max_a |x_a| <= R eps keeps the mass
+        # erf(R / sqrt 2)^d and is not renormalized
+        lost = 1.0 - math.erf(cut / math.sqrt(2.0)) ** d
+        if lost > 1e-8:
+            errors.append(
+                f"[kernel] truncation_radius_multiple = {cut} cuts {lost:.3e} of the "
+                f"gaussian's unit mass in dimension {d} (at most 1e-08)"
+            )
 
     if errors:
         raise ConfigError(errors)
@@ -488,7 +499,8 @@ def cmd_converge(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
     fractions = (0.25, 0.5, 0.75, 1.0)
     rows = []
     for e in eps:
-        sub = os.path.join(out_dir, f"eps_{e:g}")
+        # repr, not a rounded format: distinct floats get distinct directories
+        sub = os.path.join(out_dir, f"eps_{e!r}")
         summary, trajectory = _execute_run(cfg, e, sub, quiet)
         with_w1 = [r for r in trajectory.records if r.w1_to_reference is not None]
         checkpoints = []
@@ -551,18 +563,6 @@ def cmd_sample(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
     return cmd_run(replace(cfg, reference_kind="steady_state"), out_dir, quiet)
 
 
-def cmd_selftest(quiet: bool) -> int:
-    from . import selftest
-
-    checks = selftest.run_all()
-    failed = [c for c in checks if not c[1]]
-    if not quiet:
-        for name, ok, detail in checks:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    print(f"selftest: {len(checks) - len(failed)}/{len(checks)} checks passed")
-    return 0 if not failed else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -586,15 +586,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic particle flows for nonlinear diffusion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("run", True),
-        ("converge", True),
-        ("sample", True),
-        ("selftest", False),
-    ):
+    for name in ("run", "converge", "sample"):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to an INI config")
+        p.add_argument("--config", required=True, help="path to an INI config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument(
             "--threads",
@@ -609,13 +603,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _apply_threads(args.threads)
-
-    if args.command == "selftest":
-        return cmd_selftest(args.quiet)
+    out_dir = args.out or os.environ.get(OUT_ENV_VAR)
 
     try:
-        cfg = parse_config(args.config)
-        out_dir = args.out or os.environ.get(OUT_ENV_VAR) or cfg.output_dir
+        try:
+            cfg = parse_config(args.config)
+        except ConfigError as exc:
+            # a rejected config names no directory, but the caller may have
+            if out_dir:
+                os.makedirs(out_dir, exist_ok=True)
+                _write_summary(out_dir, {"error": f"{type(exc).__name__}: {exc}"})
+            raise
+        out_dir = out_dir or cfg.output_dir
         if args.command == "run":
             return cmd_run(cfg, out_dir, args.quiet)
         if args.command == "converge":

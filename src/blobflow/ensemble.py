@@ -3,11 +3,11 @@
 An ensemble is N uniformly weighted particles in R^d stored as a read-only
 (N, d) float64 array. Initialization places particles on exact quantiles of
 a 1d target or rejection-samples any-dimensional targets with a seeded PCG64
-generator. Metrics: second moment, sorted-quantile W1/W2 between equal-size
-ensembles, and W1 against a reference density (CDF form in d=1, debiased
-entropic transport in d=2). The d=2 transport costs run 500 Sinkhorn sweeps
-in scaling form, two matrix-vector products each, from c-transform
-potentials and with large scalings absorbed into the potentials.
+generator. Metrics: second moment, and W1 against a reference density
+(CDF form in d=1, debiased entropic transport in d=2). The d=2 transport
+costs run 500 Sinkhorn sweeps in scaling form, two matrix-vector products
+each, from c-transform potentials and with large scalings absorbed into the
+potentials.
 """
 
 from __future__ import annotations
@@ -213,25 +213,6 @@ def prepare_initial_particles(
 def second_moment(e: ParticleEnsemble) -> float:
     """mean |x_i|^2 over the cloud."""
     return float(np.mean(np.einsum("ij,ij->i", e.positions, e.positions)))
-
-
-def _sorted_1d(e: ParticleEnsemble) -> np.ndarray:
-    if e.dim != 1:
-        raise ValueError("sorted-quantile metrics are one-dimensional")
-    return np.sort(e.positions[:, 0])
-
-
-def w1_1d(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
-    """W1 between two equal-size uniform clouds: mean sorted gap."""
-    if a.n != b.n:
-        raise ValueError("sorted-quantile W1 needs equal particle counts")
-    return float(np.mean(np.abs(_sorted_1d(a) - _sorted_1d(b))))
-
-
-def w2_1d(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
-    if a.n != b.n:
-        raise ValueError("sorted-quantile W2 needs equal particle counts")
-    return float(np.sqrt(np.mean((_sorted_1d(a) - _sorted_1d(b)) ** 2)))
 
 
 def w1_vs_density(

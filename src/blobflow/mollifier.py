@@ -2,8 +2,10 @@
 
 Two kernel shapes: a Gaussian truncated to the cube max_a |x_a| <= R, so
 that it is a product of per-axis factors, and a compactly supported
-polynomial bump (1 - |x/eps|^2)_+^q. Both are even, nonnegative, unit-mass
-probability densities scaled as eps^-d * shape(x / eps). Field evaluation
+polynomial bump (1 - |x/eps|^2)_+^q. Both are even, nonnegative densities
+scaled as eps^-d * shape(x / eps). The bump has unit mass; the Gaussian is
+not renormalized after the cut and keeps the mass erf(R / sqrt 2)^d, so the
+config rejects cuts that lose more than 1e-8 of it. Field evaluation
 against a particle cloud is chunked, with summation always along the
 particle axis in index order so reruns are bit-identical. mollified_density
 evaluates at arbitrary points by a dense sum. QuadratureGrid is the one
@@ -16,7 +18,7 @@ only; in d = 2 it runs the Gaussian as per-axis factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -484,77 +486,3 @@ def kernel_norms(k: MollifierKernel, d: int) -> KernelNorms:
 
     hess_l1 = area * _panel_integral(hess_density, breaks)
     return KernelNorms(sup=float(g(0.0)), grad_l1=grad_l1, hess_l1=hess_l1)
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """Outcome of validate_kernel; failures lists every violated check."""
-
-    normalization_error: float
-    even_ok: bool
-    tail_ok: bool
-    decay_exponent_ok: bool
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def validate_kernel(k: MollifierKernel, d: int, tol: float = 1e-8) -> KernelReport:
-    """Check unit mass, evenness, tail domination, and the decay exponent.
-
-    Never raises: all violations are collected in the report.
-    """
-    from scipy.integrate import quad
-
-    failures: list[str] = []
-    g = radial_profile(k, d)[0]
-    area = _surface_area(d)
-    rad = k.support_radius
-
-    mass, _ = quad(lambda s: area * s ** (d - 1) * g(s), 0.0, rad, limit=200)
-    norm_err = abs(mass - 1.0)
-    if norm_err > tol:
-        failures.append(f"normalization error {norm_err:.3e} exceeds {tol:.1e}")
-
-    rng = np.random.default_rng(0)
-    probes = rng.normal(scale=k.epsilon, size=(64, d))
-    even_gap = float(
-        np.max(np.abs(kernel_value(k, probes) - kernel_value(k, -probes)))
-    )
-    odd_gap = float(
-        np.max(np.abs(kernel_gradient(k, probes) + kernel_gradient(k, -probes)))
-    )
-    even_ok = even_gap == 0.0 and odd_gap == 0.0
-    if not even_ok:
-        failures.append(f"kernel not even: value gap {even_gap:.3e}, gradient gap {odd_gap:.3e}")
-
-    if k.kind == BUMP:
-        # compact support dominates every polynomial tail; just confirm the
-        # kernel actually vanishes at and beyond the support edge
-        beyond = rad * np.array([1.0, 1.0 + 1e-9, 1.5, 4.0])
-        tail_ok = bool(np.all(g(beyond) == 0.0))
-        if not tail_ok:
-            failures.append("kernel does not vanish beyond its support radius")
-    else:
-        # on the outer half of the support, s^r * phi(s) must not increase
-        radii = np.linspace(0.5 * rad, rad, 33)
-        tail = g(radii) * radii**k.effective_r
-        tail_ok = bool(np.all(np.diff(tail) <= 1e-12 * max(tail.max(), 1e-300)))
-        if not tail_ok:
-            failures.append("tail bound s^r phi(s) increases on the outer support")
-
-    decay_ok = k.effective_r > max(d, 2)
-    if not decay_ok:
-        failures.append(
-            f"effective_r {k.effective_r} must exceed max(d,2) = {max(d, 2)}"
-        )
-
-    return KernelReport(
-        normalization_error=norm_err,
-        even_ok=even_ok,
-        tail_ok=tail_ok,
-        decay_exponent_ok=decay_ok,
-        failures=failures,
-    )

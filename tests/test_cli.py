@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blobflow import selftest
 from blobflow.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -179,6 +178,15 @@ def test_cross_field_validation():
             )
         )
     assert any(m.startswith("[reference] kind = gaussian") for m in exc.value.messages)
+    # a Gaussian cut at 2 eps loses 4.6e-2 of its mass; the default 8 eps, 6.1e-15 in d = 5
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(base_config(kernel="kind = gaussian\ntruncation_radius_multiple = 2.0"))
+    assert any(m.startswith("[kernel] truncation_radius_multiple") for m in exc.value.messages)
+    for d in range(2, 6):
+        family = f"kind = heat\ndimension = {d}"
+        parse_config_text(
+            base_config(family=family, particles="n = 8\ninit = rejection", reference="kind = none")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +197,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, base_config() + "\n[extra]\nfoo = 1\n")
     assert main(["run", "--config", path, "--quiet"]) == 2
     assert "config error: unknown section [extra]" in capsys.readouterr().err
+
+
+def test_lossy_gaussian_truncation_exits_2(tmp_path, capsys):
+    text = base_config(kernel="kind = gaussian\ntruncation_radius_multiple = 2.0")
+    assert main(["run", "--config", write_config(tmp_path, text), "--quiet"]) == 2
+    assert "cuts 4.550e-02 of the gaussian's unit mass" in capsys.readouterr().err
+
+
+def test_rejected_config_writes_a_summary_only_where_asked(tmp_path, capsys, monkeypatch):
+    # the config's own [output] directory is never read from a config that
+    # fails to parse, so only --out or the environment can name one
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUT_ENV_VAR, raising=False)
+    path = write_config(tmp_path, base_config(family="kind = heat\ndimension = 3"))
+    assert main(["run", "--config", path, "--quiet"]) == 2
+    assert os.listdir(tmp_path) == ["run.ini"]
+    assert main(["run", "--config", path, "--out", "o3", "--quiet"]) == 2
+    error = json.loads((tmp_path / "o3" / "summary.json").read_text())["error"]
+    assert error.startswith("ConfigError: [particles] init = quantile")
+    monkeypatch.setenv(OUT_ENV_VAR, "env")
+    assert main(["converge", "--config", path, "--quiet"]) == 2
+    assert json.loads((tmp_path / "env" / "summary.json").read_text())["error"] == error
 
 
 def test_invalid_beta_cites_the_schedule_bound(tmp_path, capsys):
@@ -286,6 +316,23 @@ def test_non_finite_velocity_exits_1_and_keeps_partial_outputs(tmp_path, capsys,
     header, rows = read_rows(out / "diagnostics.csv")
     assert header == DIAG_HEADER
     assert [float(row[0]) for row in rows] == [0.0]
+
+
+def test_newton_non_convergence_exits_1_and_keeps_partial_outputs(tmp_path, capsys, monkeypatch):
+    from blobflow import convex_energy
+
+    one_step = functools.partial(convex_energy._newton_bisect, max_iter=1)
+    monkeypatch.setattr(convex_energy, "_newton_bisect", one_step)
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert "runtime error: ConvergenceError" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"].startswith("ConvergenceError")
+    assert load_snapshot(out / "snapshot_initial.csv").n == 24
+    assert not (out / "snapshot_final.csv").exists()
+    header, rows = read_rows(out / "diagnostics.csv")
+    assert header == DIAG_HEADER and rows == []
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +446,18 @@ def test_converge_writes_the_table(tmp_path):
     assert len(summary["final_w1"]) == 2
 
 
+def test_converge_keeps_close_epsilons_apart(tmp_path):
+    # both print as 0.2 under "%g"; each run needs a directory of its own
+    path = write_config(tmp_path, converge_config("0.2, 0.19999999"))
+    out = tmp_path / "conv"
+    assert main(["converge", "--config", path, "--out", str(out), "--quiet"]) == 0
+    runs = sorted(p for p in os.listdir(out) if p.startswith("eps_"))
+    assert runs == ["eps_0.19999999", "eps_0.2"]
+    for name in runs:
+        summary = json.loads((out / name / "summary.json").read_text())
+        assert summary["epsilon"] == float(name[len("eps_") :])
+
+
 def test_converge_single_epsilon_has_no_verdict(tmp_path, capsys):
     path = write_config(tmp_path, converge_config("0.2"))
     out = tmp_path / "conv1"
@@ -451,38 +510,6 @@ def test_sample_quantile_start_stays_near_stationary(tmp_path):
     col = header.split(",").index("w1_to_reference")
     w1 = [float(r[col]) for r in rows]
     assert w1 and max(w1) <= 2.0 * w1[0]
-
-
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def test_selftest_negative_control_and_recovery():
-    checks = selftest.suite_convex_energy(curvature_bias=10.0)
-    assert any(not ok for _, ok, _ in checks)
-    assert all(ok for _, ok, _ in selftest.suite_convex_energy())
-
-
-def test_healthy_selftest_passes_every_check(capsys):
-    assert main(["selftest"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    checks = [line.split() for line in lines if line.startswith(("PASS", "FAIL"))]
-    assert lines[-1] == f"selftest: {len(checks)}/{len(checks)} checks passed"
-    assert {words[1].split(".")[0] for words in checks} == {
-        "convex_energy",
-        "mollifier",
-        "ensemble",
-        "reference",
-        "dynamics",
-    }
-
-
-def test_selftest_cli_reports_failures(capsys, monkeypatch):
-    biased = functools.partial(selftest.suite_convex_energy, curvature_bias=10.0)
-    monkeypatch.setattr(selftest, "SUITES", (biased,) + selftest.SUITES[1:])
-    assert main(["selftest", "--quiet"]) == 1
-    out = capsys.readouterr().out
-    assert "checks passed" in out
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +621,16 @@ def _modules_loaded_by(script: str) -> set:
         check=True,
     )
     return set(done.stdout.split())
+
+
+def test_importing_the_package_loads_no_scipy():
+    # every scipy import in the package is deferred to the call that needs it
+    script = (
+        "import sys\n"
+        "from blobflow import cli, convex_energy, dynamics, ensemble, mollifier, reference\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    )
+    assert _modules_loaded_by(script) == set()
 
 
 def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):

@@ -5,8 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import logsumexp
 
@@ -21,9 +19,7 @@ from blobflow.ensemble import (
     quantiles_from_cdf,
     save_snapshot,
     second_moment,
-    w1_1d,
     w1_vs_density,
-    w2_1d,
 )
 from blobflow.reference import gaussian_reference, uniform_reference
 
@@ -48,34 +44,6 @@ def test_positions_are_read_only():
     e = cloud([[0.0], [1.0]])
     with pytest.raises(ValueError):
         e.positions[0, 0] = 5.0
-
-
-def test_w1_matches_scipy_oracle(rng):
-    for _ in range(5):
-        a = rng.normal(size=(64, 1))
-        b = rng.normal(size=(64, 1)) * 1.3 + 0.2
-        ours = w1_1d(cloud(a), cloud(b))
-        oracle = stats.wasserstein_distance(a[:, 0], b[:, 0])
-        assert ours == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-
-
-def test_w2_is_sorted_rms(rng):
-    a = rng.normal(size=(50, 1))
-    b = rng.normal(size=(50, 1))
-    expect = np.sqrt(np.mean((np.sort(a[:, 0]) - np.sort(b[:, 0])) ** 2))
-    assert w2_1d(cloud(a), cloud(b)) == pytest.approx(expect, rel=1e-12)
-
-
-@given(shift=st.floats(min_value=-3.0, max_value=3.0))
-def test_w1_exact_under_shift(shift):
-    xs = np.linspace(-1, 1, 33)[:, None]
-    assert w1_1d(cloud(xs), cloud(xs + shift)) == pytest.approx(abs(shift), abs=1e-12)
-
-
-def test_w1_symmetric(rng):
-    a = cloud(rng.normal(size=(40, 1)))
-    b = cloud(rng.normal(size=(40, 1)))
-    assert w1_1d(a, b) == w1_1d(b, a)
 
 
 def test_quantiles_match_normal_ppf():

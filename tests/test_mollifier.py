@@ -15,7 +15,6 @@ from blobflow.mollifier import (
     kernel_value,
     mollified_density,
     radial_profile,
-    validate_kernel,
 )
 
 
@@ -122,12 +121,13 @@ def test_radial_profile_derivatives_match_central_differences(kind, d):
 
 
 def test_kernel_even_and_gradient_odd():
-    for d in (1, 2):
-        k = MollifierKernel.bump(0.3, dimension=d)
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-0.3, 0.3, size=(64, d))
-        np.testing.assert_array_equal(kernel_value(k, x), kernel_value(k, -x))
-        np.testing.assert_array_equal(kernel_gradient(k, x), -kernel_gradient(k, -x))
+    for kind in ("gaussian", "bump"):
+        for d in (1, 2):
+            k = getattr(MollifierKernel, kind)(0.3, dimension=d)
+            rng = np.random.default_rng(5)
+            x = rng.uniform(-0.3, 0.3, size=(64, d))
+            np.testing.assert_array_equal(kernel_value(k, x), kernel_value(k, -x))
+            np.testing.assert_array_equal(kernel_gradient(k, x), -kernel_gradient(k, -x))
 
 
 def test_gradient_consistent_with_value():
@@ -295,36 +295,6 @@ def test_quadrature_grid_rejects_degenerate_boxes():
         QuadratureGrid(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), (4,))
     with pytest.raises(ValueError):
         QuadratureGrid(np.array([-1.0]), np.array([1.0, 1.0]), (4,))
-
-
-@pytest.mark.parametrize("kind", ["gaussian", "bump"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_validate_kernel_passes(kind, d):
-    k = (
-        MollifierKernel.gaussian(0.2, dimension=d)
-        if kind == "gaussian"
-        else MollifierKernel.bump(0.2, dimension=d)
-    )
-    report = validate_kernel(k, d)
-    assert report.passed, report.failures
-    assert report.normalization_error <= 1e-8
-    assert report.even_ok and report.tail_ok and report.decay_exponent_ok
-
-
-def test_validate_kernel_flags_lost_mass():
-    # truncating a gaussian at 2 eps discards ~4.6e-2 of its mass
-    k = MollifierKernel.gaussian(0.2, dimension=1, truncation_radius_multiple=2.0)
-    report = validate_kernel(k, 1)
-    assert not report.passed
-    assert report.normalization_error > 1e-3
-    assert any("normalization" in f for f in report.failures)
-
-
-def test_validate_kernel_flags_weak_decay_exponent():
-    k = MollifierKernel(kind="gaussian", epsilon=0.2, effective_r=1.5)
-    report = validate_kernel(k, 1)
-    assert not report.passed
-    assert not report.decay_exponent_ok
 
 
 def test_positions_duck_typing():
