@@ -134,6 +134,10 @@ def _read(key: Key, raw: Optional[str], errors: list) -> object:
         noun = {int: "an integer", _number_list: "a number list"}.get(key.kind)
         errors.append(f"{where} = {raw!r} is not {noun or 'a number'}")
         return None
+    values = value if isinstance(value, tuple) else (value,)
+    if key.kind not in (int, str) and not all(v is None or math.isfinite(v) for v in values):
+        errors.append(f"{where} = {raw!r} is not finite")
+        return None
     if isinstance(value, tuple):
         if not value:
             errors.append(f"{where} list is empty")
@@ -324,13 +328,8 @@ def _reference(cfg: SimConfig, family):
         return lambda t: ref
     # validation admits steady_state only with [velocity] kind = quadratic
     box = (np.full(d, -8.0), np.full(d, 8.0))
-    ss = steady_state(
-        family,
-        VelocityConfig.quadratic().potential,
-        box,
-        resolution=cfg.w1_resolution,
-    )
-    ref = ss.reference
+    potential = VelocityConfig.quadratic().potential
+    ref = steady_state(family, potential, box, resolution=cfg.w1_resolution).reference
     return lambda t: ref
 
 
@@ -396,9 +395,31 @@ def build_runspec(cfg: SimConfig, epsilon: float):
 # command bodies
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
+def command_config(command: str, cfg: SimConfig) -> SimConfig:
+    """The config a subcommand runs, or one ConfigError with every rule of the
+    subcommand it breaks. run and sample take a single epsilon; converge takes
+    a strictly decreasing list and a reference; sample needs a confining
+    velocity and measures W1 against its steady state."""
+    eps, errors = cfg.epsilons, []
+    if command == "converge":
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            errors.append("converge requires a strictly decreasing epsilon list")
+        if cfg.reference_kind == "none":
+            errors.append("converge requires a [reference] selection")
+    elif len(eps) != 1:
+        errors.append(
+            f"run and sample take a single epsilon; got {len(eps)} "
+            "(use the converge subcommand for a list)"
+        )
+    if command == "sample":
+        if cfg.velocity_kind == "none":
+            errors.append("sample requires [velocity] kind = quadratic")
+        if cfg.dimension >= 3:
+            errors.append(f"sample measures W1 in dimension 1 or 2 only (got {cfg.dimension})")
+        cfg = replace(cfg, reference_kind="steady_state")
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
 
 def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
@@ -456,111 +477,64 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
     )
     _write_summary(out_dir, summary)
     w1_text = "" if final.w1_to_reference is None else f", W1 {final.w1_to_reference:.5f}"
-    _say(
-        quiet,
-        f"eps={epsilon:g} delta={summary['delta']:.5g}: {len(trajectory.records)} "
-        f"records to t={final.t:g}, F {final.f_eps:.6f}{w1_text}, {wall:.1f}s "
-        f"-> {out_dir}",
-    )
+    if not quiet:
+        print(
+            f"eps={epsilon:g} delta={summary['delta']:.5g}: {len(trajectory.records)} "
+            f"records to t={final.t:g}, F {final.f_eps:.6f}{w1_text}, {wall:.1f}s "
+            f"-> {out_dir}"
+        )
     return summary, trajectory
 
 
 def _write_summary(out_dir: str, summary: dict) -> None:
-    with open(
-        os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def cmd_run(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
-    """One simulation at the config's single epsilon (the body of run and sample)."""
-    if len(cfg.epsilons) != 1:
-        raise ConfigError(
-            [
-                f"run and sample take a single epsilon; got {len(cfg.epsilons)} "
-                "(use the converge subcommand for a list)"
-            ]
-        )
-    _execute_run(cfg, cfg.epsilons[0], out_dir, quiet)
-    return 0
-
-
 def cmd_converge(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
-    """Repeat the run over a strictly decreasing epsilon list and tabulate
-    W1 errors at quarter-points of [0, T]."""
-    eps = cfg.epsilons
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError(["converge requires a strictly decreasing epsilon list"])
-    if cfg.reference_kind == "none":
-        raise ConfigError(["converge requires a [reference] selection"])
-
+    """Repeat the run over the epsilon list and tabulate W1 errors at
+    quarter-points of [0, T]. Each row of convergence.csv is written as its
+    run ends; a failed run leaves the finished rows, and summary.json holds
+    them with the error."""
     os.makedirs(out_dir, exist_ok=True)
-    fractions = (0.25, 0.5, 0.75, 1.0)
     rows = []
-    for e in eps:
-        # repr, not a rounded format: distinct floats get distinct directories
-        sub = os.path.join(out_dir, f"eps_{e!r}")
-        summary, trajectory = _execute_run(cfg, e, sub, quiet)
-        with_w1 = [r for r in trajectory.records if r.w1_to_reference is not None]
-        checkpoints = []
-        for frac in fractions:
-            t_want = frac * cfg.t_final
-            best = min(with_w1, key=lambda r: abs(r.t - t_want))
-            checkpoints.append(best.w1_to_reference)
-        rows.append(
-            {
-                "epsilon": e,
-                "delta": summary["delta"],
-                "w1": checkpoints,
-                "runtime_s": summary["wall_time_s"],
-            }
-        )
+    summary = {"config_sha256": config_hash(cfg), "config": _config_echo(cfg), "table": rows}
+    table_path = os.path.join(out_dir, "convergence.csv")
+    try:
+        with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("epsilon,delta,w1_quarter,w1_half,w1_three_quarters,w1_final,runtime_s\n")
+            fh.flush()
+            for e in cfg.epsilons:
+                # repr, not a rounded format: distinct floats get distinct directories
+                run, trajectory = _execute_run(cfg, e, os.path.join(out_dir, f"eps_{e!r}"), quiet)
+                with_w1 = [r for r in trajectory.records if r.w1_to_reference is not None]
+                w1 = [
+                    min(with_w1, key=lambda r: abs(r.t - frac * cfg.t_final)).w1_to_reference
+                    for frac in (0.25, 0.5, 0.75, 1.0)
+                ]
+                delta, runtime = run["delta"], run["wall_time_s"]
+                rows.append({"epsilon": e, "delta": delta, "w1": w1, "runtime_s": runtime})
+                cells = (e, delta, *w1, runtime)
+                fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+                fh.flush()
+    except Exception as exc:
+        summary["error"] = f"{type(exc).__name__}: {exc}"
+        _write_summary(out_dir, summary)
+        raise
 
     finals = [row["w1"][-1] for row in rows]
-    verdict = None
-    if len(rows) >= 2:
-        verdict = all(b < a for a, b in zip(finals, finals[1:]))
-
-    table_path = os.path.join(out_dir, "convergence.csv")
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "epsilon,delta,w1_quarter,w1_half,w1_three_quarters,w1_final,runtime_s\n"
-        )
-        for row in rows:
-            cells = [repr(row["epsilon"]), repr(row["delta"])]
-            cells += [repr(float(w)) for w in row["w1"]]
-            cells.append(repr(row["runtime_s"]))
-            fh.write(",".join(cells) + "\n")
-
-    _write_summary(
-        out_dir,
-        {
-            "config_sha256": config_hash(cfg),
-            "config": _config_echo(cfg),
-            "table": rows,
-            "final_w1": finals,
-            "strictly_decreasing": verdict,
-        },
-    )
-    if verdict is None:
-        _say(quiet, "single epsilon: no convergence verdict")
-    else:
-        _say(
-            quiet,
-            f"final W1 over eps {list(eps)}: "
-            f"{[round(v, 6) for v in finals]} "
-            f"({'strictly decreasing' if verdict else 'NOT strictly decreasing'})",
+    verdict = all(b < a for a, b in zip(finals, finals[1:])) if len(rows) >= 2 else None
+    summary.update(final_w1=finals, strictly_decreasing=verdict)
+    _write_summary(out_dir, summary)
+    if not quiet and verdict is None:
+        print("single epsilon: no convergence verdict")
+    elif not quiet:
+        print(
+            f"final W1 over eps {list(cfg.epsilons)}: {[round(v, 6) for v in finals]} "
+            f"({'strictly decreasing' if verdict else 'NOT strictly decreasing'})"
         )
     return 0
-
-
-def cmd_sample(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
-    """Steady-state sampling demo: confined flow measured against the
-    equilibrium profile."""
-    if cfg.velocity_kind == "none":
-        raise ConfigError(["sample requires [velocity] kind = quadratic"])
-    return cmd_run(replace(cfg, reference_kind="steady_state"), out_dir, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +545,8 @@ def _apply_threads(n: int) -> None:
     """Cap numeric thread pools; must run before numpy is first imported."""
     if n <= 0:
         return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
+    for pool in ("OMP", "OPENBLAS", "MKL", "NUMEXPR"):
+        os.environ[f"{pool}_NUM_THREADS"] = str(n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -585,18 +554,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="blobflow",
         description="Deterministic particle flows for nonlinear diffusion",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "converge", "sample"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to an INI config")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="cap numeric thread pools (default 1; 0 = leave as-is)",
-        )
-        p.add_argument("--quiet", action="store_true", help="suppress progress text")
+    parser.add_argument("command", choices=("run", "converge", "sample"))
+    parser.add_argument("--config", required=True, help="path to an INI config")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="cap numeric thread pools (default 1; 0 = leave as-is)",
+    )
+    parser.add_argument("--quiet", action="store_true", help="suppress progress text")
     return parser
 
 
@@ -607,19 +574,18 @@ def main(argv=None) -> int:
 
     try:
         try:
-            cfg = parse_config(args.config)
+            cfg = command_config(args.command, parse_config(args.config))
         except ConfigError as exc:
-            # a rejected config names no directory, but the caller may have
+            # a config rejected before any run writes a summary only where the caller points
             if out_dir:
                 os.makedirs(out_dir, exist_ok=True)
                 _write_summary(out_dir, {"error": f"{type(exc).__name__}: {exc}"})
             raise
         out_dir = out_dir or cfg.output_dir
-        if args.command == "run":
-            return cmd_run(cfg, out_dir, args.quiet)
         if args.command == "converge":
             return cmd_converge(cfg, out_dir, args.quiet)
-        return cmd_sample(cfg, out_dir, args.quiet)
+        _execute_run(cfg, cfg.epsilons[0], out_dir, args.quiet)
+        return 0
     except ConfigError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)

@@ -63,7 +63,7 @@ def build_grid(
     total = int(np.prod(counts.astype(np.int64)))
     if total > node_budget:
         raise GridBudgetError(
-            f"grid would need {total} nodes (counts {tuple(counts)}) for "
+            f"grid would need {total} nodes (counts {tuple(counts.tolist())}) for "
             f"spacing <= {target:.4g} on box {lo.tolist()} .. {hi.tolist()}, "
             f"exceeding the budget of {node_budget}"
         )
@@ -81,7 +81,7 @@ class FieldSnapshot:
     reg: RegularizedEnergy
     mu: np.ndarray
     q: np.ndarray
-    window: Optional[GridWindow] = None
+    window: GridWindow
 
     @cached_property
     def grad_mu(self) -> np.ndarray:
@@ -142,7 +142,7 @@ def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.nd
         )[0]
         raise ValueError(f"query points outside the grid box at indices {bad[:8].tolist()}")
     window = fields.window
-    if window is None or window.kernel != k or not np.array_equal(window.positions, xs):
+    if window.kernel != k or not np.array_equal(window.positions, xs):
         window = GridWindow(k, xs, fields.grid)
     return window.gather((fields.q - fields.reg.derivative_at_zero) * fields.grid.cell)
 

@@ -15,6 +15,7 @@ from blobflow.cli import (
     CONFIG_KEYS,
     ConfigError,
     OUT_ENV_VAR,
+    command_config,
     config_hash,
     main,
     parse_config,
@@ -206,19 +207,27 @@ def test_lossy_gaussian_truncation_exits_2(tmp_path, capsys):
 
 
 def test_rejected_config_writes_a_summary_only_where_asked(tmp_path, capsys, monkeypatch):
-    # the config's own [output] directory is never read from a config that
-    # fails to parse, so only --out or the environment can name one
+    # a config rejected before any run, whether it fails to parse or breaks
+    # the rules of its subcommand, has its own [output] directory ignored,
+    # so only --out or the environment can name one
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUT_ENV_VAR, raising=False)
-    path = write_config(tmp_path, base_config(family="kind = heat\ndimension = 3"))
-    assert main(["run", "--config", path, "--quiet"]) == 2
-    assert os.listdir(tmp_path) == ["run.ini"]
-    assert main(["run", "--config", path, "--out", "o3", "--quiet"]) == 2
-    error = json.loads((tmp_path / "o3" / "summary.json").read_text())["error"]
-    assert error.startswith("ConfigError: [particles] init = quantile")
-    monkeypatch.setenv(OUT_ENV_VAR, "env")
-    assert main(["converge", "--config", path, "--quiet"]) == 2
-    assert json.loads((tmp_path / "env" / "summary.json").read_text())["error"] == error
+    cases = [
+        ("d3", {"family": "kind = heat\ndimension = 3"}, "converge", "[particles] init = quantile"),
+        ("pair", {"flow": "epsilon = 0.2, 0.1\nt_final = 0.02"}, "run", "run and sample"),
+    ]
+    for name, overrides, env_command, first in cases:
+        path = write_config(tmp_path, base_config(**overrides), f"{name}.ini")
+        monkeypatch.delenv(OUT_ENV_VAR, raising=False)
+        before = set(os.listdir(tmp_path))
+        assert main(["run", "--config", path, "--quiet"]) == 2
+        assert set(os.listdir(tmp_path)) == before
+        assert main(["run", "--config", path, "--out", f"{name}_flag", "--quiet"]) == 2
+        error = json.loads((tmp_path / f"{name}_flag" / "summary.json").read_text())["error"]
+        assert error.startswith(f"ConfigError: {first}")
+        monkeypatch.setenv(OUT_ENV_VAR, f"{name}_env")
+        assert main([env_command, "--config", path, "--quiet"]) == 2
+        env_summary = tmp_path / f"{name}_env" / "summary.json"
+        assert json.loads(env_summary.read_text())["error"] == error
 
 
 def test_invalid_beta_cites_the_schedule_bound(tmp_path, capsys):
@@ -276,6 +285,7 @@ def test_runtime_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
     assert "runtime error: GridBudgetError" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert "GridBudgetError" in summary["error"]
+    assert "8196 nodes (counts (8196,))" in summary["error"]
 
 
 def test_setup_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
@@ -421,12 +431,13 @@ def test_output_directory_resolution(tmp_path, monkeypatch):
 # converge
 
 
-def converge_config(epsilons: str) -> str:
+def converge_config(epsilons: str, **overrides) -> str:
     return base_config(
         flow=f"epsilon = {epsilons}\nbeta = 0.5\nt_final = 0.05\nrecord_every = 20",
         particles="n = 48\nseed = 0",
         initial="kind = heat_kernel\nt0 = 0.05",
         reference="kind = self_similar",
+        **overrides,
     )
 
 
@@ -456,6 +467,20 @@ def test_converge_keeps_close_epsilons_apart(tmp_path):
     for name in runs:
         summary = json.loads((out / name / "summary.json").read_text())
         assert summary["epsilon"] == float(name[len("eps_") :])
+
+
+def test_converge_keeps_the_finished_rows_when_an_epsilon_fails(tmp_path, capsys):
+    path = write_config(tmp_path, converge_config("0.2, 0.002", grid="node_budget = 1000"))
+    out = tmp_path / "conv"
+    assert main(["converge", "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert "runtime error: GridBudgetError" in capsys.readouterr().err
+    header, rows = read_rows(out / "convergence.csv")
+    assert header.startswith("epsilon,delta,") and [float(r[0]) for r in rows] == [0.2]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [row["epsilon"] for row in summary["table"]] == [0.2]
+    assert summary["error"].startswith("GridBudgetError")
+    failed = json.loads((out / "eps_0.002" / "summary.json").read_text())
+    assert failed["error"] == summary["error"]
 
 
 def test_converge_single_epsilon_has_no_verdict(tmp_path, capsys):
@@ -491,6 +516,23 @@ def test_sample_requires_a_confining_velocity(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     assert main(["sample", "--config", path, "--quiet"]) == 2
     assert "velocity" in capsys.readouterr().err
+
+
+def test_sample_reports_every_broken_rule(tmp_path, capsys):
+    # W1 to the steady state is measured in d = 1 and 2 only
+    text = base_config(
+        family="kind = heat\ndimension = 3",
+        flow="epsilon = 0.2, 0.1\nt_final = 0.02",
+        particles="n = 8\ninit = rejection",
+        reference="kind = none",
+    )
+    assert main(["sample", "--config", write_config(tmp_path, text), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: run and sample take a single epsilon; got 2 "
+        "(use the converge subcommand for a list)",
+        "config error: sample requires [velocity] kind = quadratic",
+        "config error: sample measures W1 in dimension 1 or 2 only (got 3)",
+    ]
 
 
 def test_sample_quantile_start_stays_near_stationary(tmp_path):
@@ -538,6 +580,13 @@ FLOW = "epsilon = 0.2\nbeta = 0.5\nt_final = 0.02\ndt = 0.002"
         ({"flow": "epsilon = 0.2\nt_final = 0.02\ndt = x"}, "[flow] dt = 'x' is not a number"),
         ({"DEFAULT": "sigma = 2.0"}, "unknown section [DEFAULT]"),
         ({"DEFAULT": ""}, "unknown section [DEFAULT]"),
+        ({"flow": "epsilon = 0.2\nt_final = nan"}, "[flow] t_final = 'nan' is not finite"),
+        ({"flow": "epsilon = 0.2\nt_final = inf"}, "[flow] t_final = 'inf' is not finite"),
+        ({"flow": "epsilon = nan\nt_final = 0.02"}, "[flow] epsilon = 'nan' is not finite"),
+        ({"flow": "epsilon = 0.2, inf\nt_final = 0.02"}, "[flow] epsilon = '0.2, inf' is not finite"),
+        ({"flow": "epsilon = 0.2\nt_final = 0.02\ndt = -inf"}, "[flow] dt = '-inf' is not finite"),
+        ({"initial": "sigma = inf"}, "[initial] sigma = 'inf' is not finite"),
+        ({"initial": "center = -inf"}, "[initial] center = '-inf' is not finite"),
     ],
 )
 def test_first_error_message_for_a_bad_value(overrides, first_message):
@@ -558,7 +607,10 @@ def test_first_error_message_for_a_bad_value(overrides, first_message):
 def test_bundled_config_hashes_are_pinned(name, sha256):
     # every summary.json embeds this hash; a changed canonical text would
     # break the link from old outputs back to their configs
-    assert config_hash(parse_config(str(ROOT / "configs" / f"{name}.ini"))) == sha256
+    cfg = parse_config(str(ROOT / "configs" / f"{name}.ini"))
+    assert config_hash(cfg) == sha256
+    # the subcommand its script runs accepts it before any run starts
+    command_config("converge" if name.endswith("_convergence") else "sample", cfg)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
