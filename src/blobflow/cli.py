@@ -6,7 +6,7 @@ caps are applied through environment variables before numpy is imported, so
 every heavy import in this module is deferred into the command bodies.
 
 Exit codes: 0 success, 1 runtime failure (partial outputs are kept),
-2 invalid configuration.
+2 invalid configuration (rejected before any run).
 """
 
 from __future__ import annotations
@@ -334,37 +334,19 @@ def _reference(cfg: SimConfig, family):
 
 
 def build_runspec(cfg: SimConfig, epsilon: float):
-    """Translate a config into a dynamics.RunSpec at the given epsilon;
-    validation failures raise ConfigError."""
+    """Translate a config that command_config accepted into a
+    dynamics.RunSpec at the given epsilon."""
     from . import dynamics as dyn
     from .convex_energy import EnergyFamily, RegularizedEnergy
     from .ensemble import prepare_initial_particles
     from .reference import DeltaSchedule
 
-    try:
-        family = EnergyFamily(cfg.family_kind, cfg.m, cfg.dimension)
-    except ValueError as exc:
-        raise ConfigError([f"[family] {exc}"]) from exc
+    family = EnergyFamily(cfg.family_kind, cfg.m, cfg.dimension)
     kernel = _kernel(cfg, epsilon)
-    r, d = kernel.effective_r, cfg.dimension
-    try:
-        schedule = DeltaSchedule(beta=cfg.beta, effective_r=r, dimension=d)
-    except ValueError as exc:
-        raise ConfigError(
-            [
-                f"[flow] beta = {cfg.beta} violates the schedule bound (r - d)/(r - 1)"
-                f" = {(r - d) / (r - 1.0):.6g} with r = {r}, d = {d}: {exc}"
-            ]
-        ) from exc
-    delta = schedule.delta_of(epsilon)
-    reg = RegularizedEnergy(family=family, delta=delta, epsilon=epsilon)
-    try:
-        target = _initial_density(cfg)
-        reference = _reference(cfg, family)
-    except ValueError as exc:
-        raise ConfigError([f"reference/profile setup: {exc}"]) from exc
+    schedule = DeltaSchedule(cfg.beta, kernel.effective_r, cfg.dimension)
+    reg = RegularizedEnergy(family=family, delta=schedule.delta_of(epsilon))
     initial = prepare_initial_particles(
-        target,
+        _initial_density(cfg),
         cfg.n_particles,
         seed=cfg.seed,
         mode=cfg.init_mode,
@@ -383,7 +365,7 @@ def build_runspec(cfg: SimConfig, epsilon: float):
         dt=cfg.dt,
         scheme=cfg.scheme,
         record_every=cfg.record_every,
-        reference=reference,
+        reference=_reference(cfg, family),
         grid_padding=cfg.grid_padding,
         grid_spacing_fraction=cfg.grid_spacing_fraction,
         grid_node_budget=cfg.grid_node_budget,
@@ -397,10 +379,25 @@ def build_runspec(cfg: SimConfig, epsilon: float):
 
 def command_config(command: str, cfg: SimConfig) -> SimConfig:
     """The config a subcommand runs, or one ConfigError with every rule of the
-    subcommand it breaks. run and sample take a single epsilon; converge takes
-    a strictly decreasing list and a reference; sample needs a confining
-    velocity and measures W1 against its steady state."""
+    subcommand it breaks. Every subcommand needs a family exponent in range
+    and a beta under the schedule bound of the kernel's effective_r; run and
+    sample take a single epsilon; converge takes a strictly decreasing list
+    and a reference; sample needs a confining velocity and measures W1
+    against its steady state."""
+    from .convex_energy import EnergyFamily
+    from .reference import DeltaSchedule
+
     eps, errors = cfg.epsilons, []
+    try:
+        EnergyFamily(cfg.family_kind, cfg.m, cfg.dimension)
+    except ValueError as exc:
+        errors.append(f"[family] {exc}")
+    try:
+        DeltaSchedule(cfg.beta, _kernel(cfg, eps[0]).effective_r, cfg.dimension)
+    except ValueError as exc:
+        # the schedule names the value it rejects: effective_r, checked first, or beta
+        section = "[kernel]" if str(exc).startswith("effective_r") else "[flow]"
+        errors.append(f"{section} {exc}")
     if command == "converge":
         if any(b >= a for a, b in zip(eps, eps[1:])):
             errors.append("converge requires a strictly decreasing epsilon list")

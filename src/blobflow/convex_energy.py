@@ -5,9 +5,9 @@ height constraint), their Moreau envelopes, the doubly regularized density
 
     f_reg(a) = (delta/2) a^2 + env_delta(a) - env_delta(0),   a >= 0,
 
-its derivative, Legendre conjugate, and the H^-1-weight integrands
-e(a) = int_0^a (s f'(s) - f(s))' ds together with slope-truncated variants.
-All functions accept scalars or numpy arrays and are pure.
+its derivative and Legendre conjugate, and a quadrature for the dual-Sobolev
+e-density e(a) = int_0^a (s f'(s) - f(s))' ds. All functions accept scalars
+or numpy arrays and are pure.
 
 Extended-real convention: values outside the effective domain are IEEE +inf.
 """
@@ -84,21 +84,14 @@ class EnergyFamily:
 
 @dataclass(frozen=True)
 class RegularizedEnergy:
-    """An energy family together with its regularization scales.
-
-    delta is the quadratic/envelope scale; epsilon is the mollifier width it
-    was derived from (carried along so downstream constants can use it).
-    """
+    """An energy family together with delta, its quadratic/envelope scale."""
 
     family: EnergyFamily
     delta: float
-    epsilon: float
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("delta must be a positive finite real")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be a positive finite real")
 
     @cached_property
     def moreau_zero(self) -> float:
@@ -163,30 +156,24 @@ def xlogx(x):
     return np.where(zero, 0.0, x * np.log(np.where(zero, 1.0, x)))
 
 
-def _on_domain(family: EnergyFamily, a, heat, power):
-    """A closed form in a on dom(f), +inf outside it: heat(a) for the heat
-    family; power(a, m) for the power laws, evaluated under errstate and 0
-    at a = 0; 0 on [0, 1] for the height constraint. Negative a, and a above
-    the height cap, give +inf."""
+def energy_value(family: EnergyFamily, a):
+    """f(a), with +inf outside the effective domain: negative a, and a above
+    the height cap."""
     arr, scalar = _prepare(a)
     k = family.kind
     neg = arr < 0.0
     safe = np.where(neg, 0.0, arr)
     if k == HEAT:
-        val = heat(safe)
+        val = xlogx(safe) - safe
     elif k in (POROUS_MEDIUM, FAST_DIFFUSION):
+        m = family.m
         with np.errstate(all="ignore"):
-            val = power(safe, family.m)
+            val = safe**m / (m - 1.0)
         val = np.where(safe == 0.0, 0.0, val)
     else:
         val = np.zeros_like(safe)
         neg = neg | (arr > 1.0)
     return _finish(np.where(neg, INF, val), scalar)
-
-
-def energy_value(family: EnergyFamily, a):
-    """f(a), with +inf outside the effective domain."""
-    return _on_domain(family, a, lambda s: xlogx(s) - s, lambda s, m: s**m / (m - 1.0))
 
 
 def _energy_derivative(family: EnergyFamily, b):
@@ -335,24 +322,12 @@ def reg_conjugate(reg: RegularizedEnergy, b):
     return _finish(out, scalar)
 
 
-def h1_slope(family: EnergyFamily, a):
-    """e'(a) = a f'(a) - f(a): the dual-density integrand's slope."""
-    return _on_domain(family, a, lambda s: s, lambda s, m: s**m)
-
-
-def h1_density(family: EnergyFamily, a):
-    """e(a) = int_0^a (s f'(s) - f(s))' ds, +inf outside dom(f).
-
-    Closed forms: a^2/2 (heat), a^(m+1)/(m+1) (power laws), 0 (height).
-    """
-    return _on_domain(family, a, lambda s: 0.5 * s**2, lambda s, m: s ** (m + 1.0) / (m + 1.0))
-
-
 def h1_density_quadrature(family: EnergyFamily, a, rtol: float = 1e-10):
-    """Independent route to e(a) from its integral form a f(a) - 2 int_0^a f.
+    """The e-density e(a) = int_0^a (s f'(s) - f(s))' ds, +inf outside dom(f),
+    from its integral form a f(a) - 2 int_0^a f.
 
-    Kept as the second leg of the closed-form cross-check and as the general
-    path for densities without a closed form."""
+    A route that needs no closed form; the closed forms it is checked against
+    are a^2/2 (heat), a^(m+1)/(m+1) (power laws) and 0 (height)."""
     from scipy.integrate import quad
 
     arr, scalar = _prepare(a)
@@ -369,46 +344,3 @@ def h1_density_quadrature(family: EnergyFamily, a, rtol: float = 1e-10):
             )
             out[i] = ai * float(energy_value(family, ai)) - 2.0 * tail
     return _finish(out.reshape(arr.shape), scalar)
-
-
-def truncation_point(family: EnergyFamily, m_level: float) -> float:
-    """Smallest a with e'(a) >= m_level; the height family saturates at 1."""
-    if not (np.isfinite(m_level) and m_level > 0.0):
-        raise ValueError("m_level must be positive and finite")
-    k = family.kind
-    if k == HEIGHT_CONSTRAINT:
-        return 1.0
-    if k == HEAT:
-        hi = m_level + 1.0
-    else:
-        hi = 1.0 + m_level + m_level ** (1.0 / family.m)
-
-    def g(a):
-        return np.asarray(h1_slope(family, a)) - m_level, _slope_derivative(family, a)
-
-    root = _newton_bisect(
-        g, np.zeros(1), np.full(1, hi), np.maximum(1.0, m_level) * np.ones(1)
-    )
-    return float(root[0])
-
-
-def _slope_derivative(family: EnergyFamily, a):
-    k = family.kind
-    if k == HEAT:
-        return np.ones_like(a)
-    with np.errstate(all="ignore"):
-        return family.m * a ** (family.m - 1.0)
-
-
-def h1_truncated(family: EnergyFamily, m_level: float, a):
-    """e_m: equal to e below the slope-m_level point a_m, affine with slope
-    m_level above it. Domain [0, inf) regardless of dom(f)."""
-    a_m = truncation_point(family, m_level)
-    arr, scalar = _prepare(a)
-    neg = arr < 0.0
-    safe = np.where(neg, 0.0, arr)
-    below = np.minimum(safe, a_m)
-    base = np.asarray(h1_density(family, below))
-    e_am = float(h1_density(family, a_m))
-    val = np.where(safe <= a_m, base, e_am + m_level * (safe - a_m))
-    return _finish(np.where(neg, INF, val), scalar)

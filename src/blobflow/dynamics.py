@@ -18,7 +18,7 @@ trajectories regardless of thread settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -149,52 +149,40 @@ def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.nd
 
 @dataclass(frozen=True)
 class VelocityConfig:
-    """Autonomous drift v(x): none, the gradient of a potential, or custom.
+    """Autonomous drift v(x): none (neither callable set), the gradient of a
+    potential (its finite-difference gradient when grad is unset), or a
+    custom field (grad alone)."""
 
-    w1inf_bound feeds the stability constant; when zero it is estimated on
-    probe points at run start.
-    """
-
-    kind: str
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    w1inf_bound: float = 0.0
 
     @staticmethod
     def none() -> "VelocityConfig":
-        return VelocityConfig(kind="none")
+        return VelocityConfig()
 
     @staticmethod
-    def gradient_of_potential(
-        potential, grad=None, w1inf_bound: float = 0.0
-    ) -> "VelocityConfig":
-        return VelocityConfig(
-            kind="grad_potential",
-            potential=potential,
-            grad=grad,
-            w1inf_bound=w1inf_bound,
-        )
+    def gradient_of_potential(potential, grad=None) -> "VelocityConfig":
+        return VelocityConfig(potential=potential, grad=grad)
 
     @staticmethod
     def quadratic() -> "VelocityConfig":
         """v = x, the gradient of |x|^2/2."""
         return VelocityConfig(
-            kind="grad_potential",
             potential=lambda p: 0.5 * np.einsum("ij,ij->i", p, p),
             grad=lambda p: np.array(p, dtype=float, copy=True),
         )
 
     @staticmethod
-    def custom(fn, w1inf_bound: float = 0.0) -> "VelocityConfig":
-        return VelocityConfig(kind="custom", grad=fn, w1inf_bound=w1inf_bound)
+    def custom(fn) -> "VelocityConfig":
+        return VelocityConfig(grad=fn)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if self.kind == "none":
-            return np.zeros_like(points)
-        if self.kind == "grad_potential" and self.grad is None:
+        if self.grad is not None:
+            return np.asarray(self.grad(points), dtype=float)
+        if self.potential is not None:
             return self._fd_gradient(points)
-        return np.asarray(self.grad(points), dtype=float)
+        return np.zeros_like(points)
 
     def _fd_gradient(self, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
         out = np.empty_like(points)
@@ -209,7 +197,7 @@ class VelocityConfig:
 
     def validate_gradient(self, probes: np.ndarray, rtol: float = 1e-5) -> None:
         """For explicit gradients, check them against finite differences."""
-        if self.kind != "grad_potential" or self.grad is None or self.potential is None:
+        if self.grad is None or self.potential is None:
             return
         analytic = np.asarray(self.grad(probes), dtype=float)
         numeric = self._fd_gradient(probes)
@@ -223,8 +211,6 @@ class VelocityConfig:
 
     def estimate_w1inf(self, probes: np.ndarray, h: float = 1e-5) -> float:
         """sup |v| + sup |Dv| over probe points (finite-difference Jacobian)."""
-        if self.kind == "none":
-            return 0.0
         vals = self.evaluate(probes)
         sup_v = float(np.max(np.linalg.norm(vals, axis=1), initial=0.0))
         sup_dv = 0.0
@@ -395,6 +381,9 @@ class Trajectory:
     final: Optional[ParticleEnsemble] = None
     c_eps: float = 0.0
     dt: float = 0.0
+    # (t, dissipation rate) of each record in the first columns of a buffer
+    # that doubles when full, so the residual quadrature costs no list copy
+    _rate_history: np.ndarray = field(default_factory=lambda: np.empty((2, 16)), repr=False)
 
 
 def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
@@ -471,9 +460,24 @@ def _dissipation_rate(state: SimState) -> float:
 
 
 def _record(state: SimState, trajectory: Trajectory, on_record=None) -> None:
+    """Append one record. Its diss_residual has the bits of
+    dissipation_residual over every record so far, computed on the filled
+    prefix of the (t, rate) history."""
     spec = state.spec
     t = state.ensemble.time
     f_now = energy_F_eps(state.fields)
+    rate = _dissipation_rate(state)
+    n = len(trajectory.records)
+    if n == trajectory._rate_history.shape[1]:
+        trajectory._rate_history = np.concatenate(
+            [trajectory._rate_history, np.empty_like(trajectory._rate_history)], axis=1
+        )
+    trajectory._rate_history[:, n] = t, rate
+    times, rates = trajectory._rate_history[:, : n + 1]
+    residual = 0.0
+    if n > 0:
+        integral = float(np.trapezoid(rates, times))
+        residual = float(f_now - trajectory.records[0].f_eps + integral)
     min_ct, _ = cross_term_min(state.fields)
     w1 = None
     if spec.reference is not None:
@@ -483,14 +487,12 @@ def _record(state: SimState, trajectory: Trajectory, on_record=None) -> None:
         f_eps=f_now,
         entropy_moll=entropy_mollified(state.fields),
         m2=second_moment(state.ensemble),
-        diss_residual=0.0,
+        diss_residual=residual,
         min_cross_term=min_ct,
         lipschitz_estimate=trajectory.c_eps,
         w1_to_reference=w1,
-        dissipation_rate=_dissipation_rate(state),
+        dissipation_rate=rate,
     )
-    window = trajectory.records + [rec]
-    rec = replace(rec, diss_residual=dissipation_residual(window))
     trajectory.records.append(rec)
     trajectory.final = state.ensemble
     if on_record is not None:
@@ -507,10 +509,8 @@ def run(spec: RunSpec, on_record=None) -> Trajectory:
     spec.velocity.validate_gradient(
         spec.initial.positions[:: max(1, spec.initial.n // 32)]
     )
-    vbound = spec.velocity.w1inf_bound
-    if vbound == 0.0 and spec.velocity.kind != "none":
-        probes = spec.initial.positions[:: max(1, spec.initial.n // 256)]
-        vbound = spec.velocity.estimate_w1inf(probes)
+    probes = spec.initial.positions[:: max(1, spec.initial.n // 256)]
+    vbound = spec.velocity.estimate_w1inf(probes)
     c_eps = lipschitz_estimate(spec.reg, spec.kernel, velocity_w1inf=vbound)
 
     if spec.dt is not None:

@@ -45,10 +45,11 @@ class DeltaSchedule:
         if not (isinstance(d, int) and d >= 1):
             raise ValueError("dimension must be a positive integer")
         if not r > max(d, 2):
-            raise ValueError(f"effective_r must exceed max(d,2) = {max(d, 2)}")
+            raise ValueError(f"effective_r = {r} must exceed max(d, 2) = {max(d, 2)}")
         if not (0.0 < self.beta < self.upper_bound):
             raise ValueError(
-                f"beta must lie in (0, {self.upper_bound}) for r={r}, d={d}"
+                f"beta = {self.beta} must lie in (0, {self.upper_bound:.6g}), under the "
+                f"schedule bound (r - d)/(r - 1) with r = {r}, d = {d}"
             )
 
     @property
@@ -61,35 +62,12 @@ class DeltaSchedule:
         return float(epsilon**self.beta)
 
 
-def heat_kernel(d: int, t: float, x) -> np.ndarray:
-    """Fundamental solution of the heat equation at time t > 0."""
+def heat_kernel_reference(d: int, t: float) -> ReferenceDensity:
+    """Fundamental solution of the heat equation at time t > 0: the centred
+    Gaussian of variance 2t per axis."""
     if not t > 0.0:
         raise ValueError("heat kernel needs t > 0")
-    x = np.asarray(x, dtype=float)
-    r2 = np.einsum("...i,...i->...", x, x)
-    return (4.0 * math.pi * t) ** (-d / 2.0) * np.exp(-r2 / (4.0 * t))
-
-
-def heat_kernel_reference(d: int, t: float, width_sigmas: float = 10.0) -> ReferenceDensity:
-    sigma = math.sqrt(2.0 * t)
-    lo = np.full(d, -width_sigmas * sigma)
-    hi = np.full(d, width_sigmas * sigma)
-    cdf = None
-    if d == 1:
-
-        def cdf(xs):
-            from scipy.special import erf
-
-            xs = np.asarray(xs, dtype=float)
-            return 0.5 * (1.0 + erf(xs / math.sqrt(4.0 * t)))
-
-    return ReferenceDensity(
-        name=f"heat_kernel(t={t})",
-        dim=d,
-        pdf=lambda pts: heat_kernel(d, t, pts),
-        box=(lo, hi),
-        cdf=cdf,
-    )
+    return gaussian_reference(d, math.sqrt(2.0 * t))
 
 
 def _barenblatt_exponents(m: float, d: int) -> tuple[float, float, float]:
@@ -120,11 +98,8 @@ def barenblatt_constant(m: float, d: int) -> float:
 
 
 def _check_barenblatt_m(m: float, d: int) -> None:
-    lo = 1.0 - 2.0 / (d + 2.0)
-    if m <= lo or m == 1.0:
-        raise ValueError(
-            f"self-similar profile needs m > {lo} and m != 1 for d={d}"
-        )
+    """The profile exists for the porous-medium and fast-diffusion exponents."""
+    EnergyFamily(POROUS_MEDIUM if m > 1.0 else FAST_DIFFUSION, float(m), d)
 
 
 def barenblatt(m: float, d: int, t: float, x) -> np.ndarray:
@@ -271,7 +246,6 @@ def base_conjugate_prime(family: EnergyFamily, b):
 class SteadyState:
     """Minimizer rho(x) = (f*)'(Z - V(x)) of energy + potential at unit mass."""
 
-    family: EnergyFamily
     z: float
     reference: ReferenceDensity
 
@@ -354,4 +328,4 @@ def steady_state(
         ref = ReferenceDensity(
             name=ref.name, dim=1, pdf=pdf, box=(lo, hi), cdf=ref.numeric_cdf()
         )
-    return SteadyState(family=family, z=z, reference=ref)
+    return SteadyState(z=z, reference=ref)

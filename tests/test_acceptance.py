@@ -333,7 +333,7 @@ def _pressure_mass(reg, ref, resolution=8192):
 
 
 def _reg_at(family, delta):
-    return RegularizedEnergy(family, delta, delta**2)
+    return RegularizedEnergy(family, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def test_fenchel_young_identity_randomized():
         family = FAMILIES[rng.integers(len(FAMILIES))]
         delta = float(10.0 ** rng.uniform(-3, 0))
         a = float(rng.uniform(0.0, 10.0))
-        reg = RegularizedEnergy(family, delta, delta**2)
+        reg = RegularizedEnergy(family, delta)
         q = float(reg_derivative(reg, a))
         lhs = float(reg_conjugate(reg, q)) + float(reg_value(reg, a))
         rhs = a * q
@@ -376,7 +376,7 @@ def test_regularized_curvature_sandwich():
         family = FAMILIES[rng.integers(len(FAMILIES))]
         delta = float(10.0 ** rng.uniform(-3, 0))
         a = float(rng.uniform(0.01, 10.0))
-        reg = RegularizedEnergy(family, delta, delta**2)
+        reg = RegularizedEnergy(family, delta)
         vals = np.asarray(reg_value(reg, np.array([a - h, a, a + h])))
         second = float((vals[0] - 2.0 * vals[1] + vals[2]) / h**2)
         hi = delta + 1.0 / delta

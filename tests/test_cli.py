@@ -208,12 +208,16 @@ def test_lossy_gaussian_truncation_exits_2(tmp_path, capsys):
 
 def test_rejected_config_writes_a_summary_only_where_asked(tmp_path, capsys, monkeypatch):
     # a config rejected before any run, whether it fails to parse or breaks
-    # the rules of its subcommand, has its own [output] directory ignored,
-    # so only --out or the environment can name one
+    # the rules of its subcommand, its family or its delta schedule, has its
+    # own [output] directory ignored, so only --out or the environment can
+    # name one
     monkeypatch.chdir(tmp_path)
     cases = [
         ("d3", {"family": "kind = heat\ndimension = 3"}, "converge", "[particles] init = quantile"),
         ("pair", {"flow": "epsilon = 0.2, 0.1\nt_final = 0.02"}, "run", "run and sample"),
+        ("exponent", {"family": "kind = porous_medium\nm = 0.5"}, "run", "[family] porous_medium"),
+        ("beta", {"flow": "epsilon = 0.2\nbeta = 1.0\nt_final = 0.02"}, "converge", "[flow] beta"),
+        ("r", {"kernel": "kind = gaussian\neffective_r = 1.5"}, "converge", "[kernel] effective_r"),
     ]
     for name, overrides, env_command, first in cases:
         path = write_config(tmp_path, base_config(**overrides), f"{name}.ini")
@@ -303,6 +307,24 @@ def test_setup_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
     assert "runtime error: RejectionStallError" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert "RejectionStallError" in summary["error"]
+
+
+def test_unbuildable_reference_exits_1_and_keeps_the_summary(tmp_path, capsys):
+    # exit 2 means nothing ran: a reference that fails once the run
+    # directory exists is a runtime failure
+    text = base_config(
+        family="kind = fast_diffusion\nm = 0.55\ndimension = 2",
+        flow="epsilon = 0.2\nbeta = 0.4\nt_final = 0.01\ndt = 0.01",
+        particles="n = 16\ninit = rejection",
+        velocity="kind = quadratic",
+        reference="kind = steady_state\nresolution = 40000000",
+    )
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert "runtime error: ValueError: steady-state grid" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert "exceeds the node budget" in summary["error"]
 
 
 def test_non_finite_velocity_exits_1_and_keeps_partial_outputs(tmp_path, capsys, monkeypatch):

@@ -8,17 +8,13 @@ from blobflow.convex_energy import (
     EnergyFamily,
     RegularizedEnergy,
     energy_value,
-    h1_density,
     h1_density_quadrature,
-    h1_slope,
-    h1_truncated,
     moreau_value,
     prox,
     reg_conjugate,
     reg_conjugate_derivative,
     reg_derivative,
     reg_value,
-    truncation_point,
 )
 
 HEAT = EnergyFamily.heat()
@@ -35,7 +31,7 @@ delta_strategy = st.floats(min_value=1e-3, max_value=1.0)
 
 
 def make_reg(family, delta):
-    return RegularizedEnergy(family=family, delta=delta, epsilon=delta**2)
+    return RegularizedEnergy(family=family, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -266,67 +262,26 @@ def test_curvature_sandwich_finite_differences(rng):
 
 
 # ---------------------------------------------------------------------------
-# dual-Sobolev density e and its truncation
-
-
-def test_h1_density_closed_forms():
-    a = np.linspace(0.0, 5.0, 41)
-    np.testing.assert_allclose(h1_density(HEAT, a), a**2 / 2.0, atol=1e-14)
-    np.testing.assert_allclose(h1_density(PME2, a), a**3 / 3.0, rtol=1e-13)
-    np.testing.assert_allclose(h1_density(PME3, a), a**4 / 4.0, rtol=1e-13)
-    np.testing.assert_allclose(h1_density(FD, a), a**1.5 / 1.5, rtol=1e-13)
-    np.testing.assert_allclose(h1_density(HEIGHT, np.linspace(0, 1, 11)), 0.0)
+# dual-Sobolev density e
 
 
 def test_h1_density_quadrature_agrees():
     a = np.linspace(0.05, 4.0, 25)
+    closed = {HEAT: a**2 / 2.0}
+    closed.update({fam: a ** (fam.m + 1.0) / (fam.m + 1.0) for fam in (PME2, PME3, FD)})
     for fam in SMOOTH:
         num = np.array([h1_density_quadrature(fam, x) for x in a])
-        np.testing.assert_allclose(num, np.asarray(h1_density(fam, a)), rtol=1e-9)
-
-
-def test_h1_slope_is_derivative_of_density():
-    for fam in SMOOTH:
-        a = np.linspace(0.2, 4.0, 17)
-        h = 1e-6
-        fd = (np.asarray(h1_density(fam, a + h)) - np.asarray(h1_density(fam, a - h))) / (
-            2 * h
-        )
-        np.testing.assert_allclose(np.asarray(h1_slope(fam, a)), fd, rtol=1e-6, atol=1e-8)
-
-
-def test_truncation_point_inverts_slope():
-    for fam in SMOOTH:
-        for level in (0.5, 2.0, 7.0):
-            am = truncation_point(fam, level)
-            assert h1_slope(fam, am) == pytest.approx(level, rel=1e-6)
-    assert truncation_point(HEIGHT, 3.0) == 1.0
-
-
-def test_h1_truncated_is_tangent_from_below():
-    a = np.linspace(0.0, 8.0, 81)
-    for fam in SMOOTH:
-        level = 2.0
-        am = truncation_point(fam, level)
-        em = np.asarray(h1_truncated(fam, level, a))
-        e = np.asarray(h1_density(fam, a))
-        assert np.all(em <= e + 1e-10)
-        below = a <= am
-        np.testing.assert_allclose(em[below], e[below], atol=1e-12)
-        # affine with slope `level` beyond the knee
-        above = a >= am + 0.1
-        slopes = np.diff(em[above]) / np.diff(a[above])
-        np.testing.assert_allclose(slopes, level, rtol=1e-10)
+        np.testing.assert_allclose(num, closed[fam], rtol=1e-9)
+    heights = np.array([h1_density_quadrature(HEIGHT, x) for x in np.linspace(0, 1, 11)])
+    np.testing.assert_allclose(heights, 0.0, atol=1e-14)
 
 
 def test_h1_quadrature_definition_vs_slope_integral():
-    # a f(a) - 2 int_0^a f  ==  int_0^a e'(s) ds, e' = s f'(s) - f(s)
+    # a f(a) - 2 int_0^a f  ==  int_0^a e'(s) ds, e'(s) = s f'(s) - f(s) = s^m
     fam = PME3
     for a in (0.5, 1.7, 3.2):
         direct = h1_density_quadrature(fam, a)
-        slope_integral, _ = quad(
-            lambda s: float(h1_slope(fam, s)), 0.0, a, limit=200
-        )
+        slope_integral, _ = quad(lambda s: s**fam.m, 0.0, a, limit=200)
         assert direct == pytest.approx(slope_integral, rel=1e-8)
 
 
@@ -345,6 +300,4 @@ def test_family_validation():
     with pytest.raises(ValueError):
         EnergyFamily.fast_diffusion(0.5, dimension_hint=2)  # bound is exclusive
     with pytest.raises(ValueError):
-        RegularizedEnergy(family=HEAT, delta=0.0, epsilon=0.1)
-    with pytest.raises(ValueError):
-        RegularizedEnergy(family=HEAT, delta=0.1, epsilon=-1.0)
+        RegularizedEnergy(family=HEAT, delta=0.0)

@@ -35,7 +35,7 @@ from blobflow.dynamics import (
 
 
 def heat_reg(epsilon: float) -> RegularizedEnergy:
-    return RegularizedEnergy(EnergyFamily.heat(), epsilon**0.5, epsilon)
+    return RegularizedEnergy(EnergyFamily.heat(), epsilon**0.5)
 
 
 def gaussian_cloud(n: int = 64, seed: int = 0) -> ParticleEnsemble:
@@ -359,7 +359,7 @@ def test_nonfinite_velocity_names_the_particle():
     spec = RunSpec(
         reg=reg,
         kernel=k,
-        velocity=VelocityConfig.custom(broken, w1inf_bound=1.0),
+        velocity=VelocityConfig.custom(broken),
         initial=gaussian_cloud(8),
         t_final=0.1,
         dt=0.01,
@@ -374,7 +374,7 @@ def test_grid_follows_a_drifting_cloud():
     reg = heat_reg(0.2)
     k = MollifierKernel.gaussian(0.2, dimension=1)
     init = gaussian_cloud(32)
-    drift = VelocityConfig.custom(lambda p: -2.0 * np.ones_like(p), w1inf_bound=2.0)
+    drift = VelocityConfig.custom(lambda p: -2.0 * np.ones_like(p))
     spec = RunSpec(
         reg=reg, kernel=k, velocity=drift, initial=init, t_final=1.5, dt=0.02,
         record_every=10**6,
@@ -500,6 +500,24 @@ def test_dissipation_residual_short_windows_are_zero(heat_run):
     )
 
 
+def test_every_recorded_residual_is_the_quadrature_of_its_prefix():
+    # records keep a growing (t, rate) history instead of rebuilding it
+    # from the record list; every residual keeps the reference's bits
+    spec = RunSpec(
+        reg=heat_reg(0.2),
+        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        velocity=VelocityConfig.quadratic(),
+        initial=gaussian_cloud(8),
+        t_final=0.1,
+        dt=1e-4,
+        scheme=EULER,
+    )
+    records = run(spec).records
+    assert len(records) == 1001
+    for k, rec in enumerate(records):
+        assert rec.diss_residual == dissipation_residual(records[: k + 1]), k
+
+
 def test_energy_value_matches_direct_sum(heat_run):
     spec, traj = heat_run
     e = spec.initial
@@ -555,7 +573,7 @@ def test_steady_cloud_stays_near_the_steady_state():
         (np.array([-8.0]), np.array([8.0])),
     )
     eps = 0.1
-    reg = RegularizedEnergy(family, eps**0.9, eps)
+    reg = RegularizedEnergy(family, eps**0.9)
     k = MollifierKernel.gaussian(eps, dimension=1)
     init = prepare_initial_particles(ss.reference, 16, seed=0)
     spec = RunSpec(

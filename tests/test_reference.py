@@ -13,7 +13,6 @@ from blobflow.reference import (
     barenblatt_support_radius,
     base_conjugate_prime,
     gaussian_reference,
-    heat_kernel,
     heat_kernel_reference,
     steady_state,
     uniform_reference,
@@ -35,7 +34,7 @@ def test_heat_kernel_matches_normal_pdf():
     t = 0.37
     xs = np.linspace(-4, 4, 101)[:, None]
     np.testing.assert_allclose(
-        heat_kernel(1, t, xs),
+        heat_kernel_reference(1, t).pdf(xs),
         stats.norm.pdf(xs[:, 0], scale=np.sqrt(2 * t)),
         rtol=1e-12,
     )
@@ -50,7 +49,7 @@ def test_heat_kernel_reference_cdf():
 def test_heat_kernel_2d_mass():
     t = 0.25
     s = np.linspace(0, 8, 40001)
-    vals = heat_kernel(2, t, np.column_stack([s, np.zeros_like(s)]))
+    vals = heat_kernel_reference(2, t).pdf(np.column_stack([s, np.zeros_like(s)]))
     mass = np.trapezoid(2 * np.pi * s * vals, s)
     assert mass == pytest.approx(1.0, abs=1e-8)
 
