@@ -209,19 +209,25 @@ class VelocityConfig:
                 f"(relative gap {gap:.3e} > {rtol:.1e})"
             )
 
-    def estimate_w1inf(self, probes: np.ndarray, h: float = 1e-5) -> float:
-        """sup |v| + sup |Dv| over probe points (finite-difference Jacobian)."""
-        vals = self.evaluate(probes)
-        sup_v = float(np.max(np.linalg.norm(vals, axis=1), initial=0.0))
-        sup_dv = 0.0
+    def _probe_bounds(self, probes: np.ndarray, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+        """Per probe point: |v| and the largest entry of its finite-difference
+        Jacobian. A non-finite drift value or difference stays non-finite."""
+        speed = np.linalg.norm(self.evaluate(probes), axis=1)
+        slope = np.zeros(probes.shape[0])
         for ax in range(probes.shape[1]):
             shift = np.zeros(probes.shape[1])
             shift[ax] = h
             col = (self.evaluate(probes + shift) - self.evaluate(probes - shift)) / (
                 2.0 * h
             )
-            sup_dv = max(sup_dv, float(np.max(np.abs(col), initial=0.0)))
-        return sup_v + probes.shape[1] * sup_dv
+            slope = np.maximum(slope, np.abs(col).max(axis=1, initial=0.0))
+        return speed, slope
+
+    def estimate_w1inf(self, probes: np.ndarray, h: float = 1e-5) -> float:
+        """sup |v| + sup |Dv| over probe points (finite-difference Jacobian)."""
+        speed, slope = self._probe_bounds(probes, h)
+        sup_v = float(np.max(speed, initial=0.0))
+        return sup_v + probes.shape[1] * float(np.max(slope, initial=0.0))
 
 
 def lipschitz_estimate(
@@ -405,11 +411,12 @@ def _velocity(spec: RunSpec, positions: np.ndarray, pressure_grad: np.ndarray) -
     """x' = -grad p - v at the particles; non-finite values name the particles."""
     vel = -pressure_grad - spec.velocity.evaluate(positions)
     if not np.isfinite(vel).all():
-        bad = np.where(~np.all(np.isfinite(vel), axis=1))[0]
-        raise FloatingPointError(
-            f"non-finite velocity for particle indices {bad[:8].tolist()}"
-        )
+        raise _nonfinite_velocity(np.where(~np.all(np.isfinite(vel), axis=1))[0])
     return vel
+
+
+def _nonfinite_velocity(bad: np.ndarray) -> FloatingPointError:
+    return FloatingPointError(f"non-finite velocity for particle indices {bad[:8].tolist()}")
 
 
 def make_state(spec: RunSpec, ensemble: ParticleEnsemble) -> SimState:
@@ -509,14 +516,19 @@ def run(spec: RunSpec, on_record=None) -> Trajectory:
     spec.velocity.validate_gradient(
         spec.initial.positions[:: max(1, spec.initial.n // 32)]
     )
-    probes = spec.initial.positions[:: max(1, spec.initial.n // 256)]
+    stride = max(1, spec.initial.n // 256)
+    probes = spec.initial.positions[::stride]
     vbound = spec.velocity.estimate_w1inf(probes)
     c_eps = lipschitz_estimate(spec.reg, spec.kernel, velocity_w1inf=vbound)
 
     if spec.dt is not None:
         dt = spec.dt
-    else:
+    elif math.isfinite(vbound):
         dt = 0.5 / max(c_eps, 1e-12)
+    else:
+        speed, slope = spec.velocity._probe_bounds(probes)
+        bad = np.where(~np.isfinite(speed + slope))[0] * stride
+        raise _nonfinite_velocity(bad)
 
     state = make_state(spec, spec.initial)
     trajectory = Trajectory(c_eps=c_eps, dt=dt)

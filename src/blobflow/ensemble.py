@@ -5,13 +5,15 @@ An ensemble is N uniformly weighted particles in R^d stored as a read-only
 a 1d target or rejection-samples any-dimensional targets with a seeded PCG64
 generator. Metrics: second moment, and W1 against a reference density
 (CDF form in d=1, debiased entropic transport in d=2). The d=2 transport
-costs run 500 Sinkhorn sweeps in scaling form, two matrix-vector products
-each, from c-transform potentials and with large scalings absorbed into the
-potentials.
+costs run Sinkhorn sweeps in scaling form, two matrix-vector products each,
+from c-transform potentials and with large scalings absorbed into the
+potentials; each cost stops once its potentials move by no more than a fixed
+multiple of double rounding, and after 500 sweeps at most.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,6 +24,10 @@ from .mollifier import QuadratureGrid
 
 # a Sinkhorn scaling whose log passes this is absorbed into its potential
 ABSORB_LOG = 100.0
+ABSORB_BOUND = math.exp(ABSORB_LOG)
+# a Sinkhorn term stops once its potentials move by at most this many units
+# of double rounding
+STOP_ULPS = 64
 
 QUANTILE = "quantile"
 REJECTION = "rejection"
@@ -224,8 +230,9 @@ def w1_vs_density(
     d=2: debiased entropic transport ab - (aa + bb) / 2 between the cloud
     (a) and the reference's pdf on a per_axis^2 grid of cell centres (b),
     per_axis = sqrt(resolution) clipped to [8, 64], with cost |x - y| and
-    entropic scale eta = 0.01 |box diagonal|. Each term is 500 stabilized
-    Sinkhorn sweeps (_entropic_cost); the result is clipped at 0.
+    entropic scale eta = 0.01 |box diagonal|. Each term runs stabilized
+    Sinkhorn sweeps until its potentials stop moving at double rounding, 500
+    at most (_entropic_cost); the result is clipped at 0.
     """
     if e.dim != ref.dim:
         raise ValueError("dimension mismatch between ensemble and reference")
@@ -253,40 +260,56 @@ def _grid_atoms_2d(ref: ReferenceDensity, per_axis: int):
     return pts, w / total
 
 
-def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = 500) -> float:
+def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = 500) -> tuple[float, int]:
     """Entropic transport cost between weighted atoms, cost |x - y|.
 
     Sinkhorn in scaling form, stabilized by absorption (Schmitzer, SIAM J.
     Sci. Comput. 2019): potentials f, g start at the c-transforms of zero,
     so K = exp((f + g - C) / eta) has row and column maxima 1; each sweep is
     two matrix-vector products, and once a scaling u or v leaves
-    exp(+-ABSORB_LOG) it is absorbed into its potential and K rebuilt.
-    Returns sum wa (f + eta log u) + sum wb (g + eta log v).
+    exp(+-ABSORB_LOG) it is absorbed into its potential, u = v = 1 and K
+    rebuilt. It stops after a sweep in which no entry of eta log u or
+    eta log v moved by more than STOP_ULPS units of double rounding of
+    max(1, max |f|, max |g|), or after `sweeps` sweeps. The rule reads
+    nothing but the iterates, and the iterates do not depend on the run or
+    the BLAS thread count, so neither does the sweep it stops at: reruns
+    and thread counts give the same bits.
+    Returns (sum wa (f + eta log u) + sum wb (g + eta log v), sweeps used).
     """
-    cost = np.sqrt(
-        np.maximum(
-            np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2), 0.0
-        )
-    )
+    # summed axis by axis: the bits of summing the squares over the last axis
+    # of an (N, M, d) difference array, without building that array
+    cost = sum(np.subtract.outer(xa[:, ax], xb[:, ax]) ** 2 for ax in range(xa.shape[1]))
+    np.sqrt(cost, out=cost)
     f = cost.min(axis=1)
     g = (cost - f[:, None]).min(axis=0)
-    u = np.ones(len(wa))
-    v = np.ones(len(wb))
+    # u and v are views of one buffer, so each test below is one reduction
+    scalings = np.ones(len(wa) + len(wb))
+    u, v = scalings[: len(wa)], scalings[len(wa) :]
+    previous = np.empty_like(scalings)
     kernel = None
-    for _ in range(sweeps):
+    for sweep in range(1, sweeps + 1):
         if kernel is None:
             kernel = f[:, None] + g[None, :]
             kernel -= cost
             kernel /= eta
             np.exp(kernel, out=kernel)
-        u = 1.0 / (kernel @ (v * wb))
-        v = 1.0 / (kernel.T @ (u * wa))
-        log_u, log_v = np.log(u), np.log(v)
-        if max(np.abs(log_u).max(), np.abs(log_v).max()) > ABSORB_LOG:
-            f += eta * log_u
-            g += eta * log_v
-            u, v, kernel = np.ones(len(wa)), np.ones(len(wb)), None
-    return float(np.sum(wa * (f + eta * np.log(u))) + np.sum(wb * (g + eta * np.log(v))))
+            # |eta log(u'/u)| <= tol  <=>  u'/u within exp(+-tol/eta)
+            tol = STOP_ULPS * np.finfo(float).eps * max(1.0, np.abs(f).max(), np.abs(g).max())
+            lo, hi = np.exp(-tol / eta), np.exp(tol / eta)
+        np.copyto(previous, scalings)
+        np.divide(1.0, kernel @ (v * wb), out=u)
+        np.divide(1.0, kernel.T @ (u * wa), out=v)
+        if scalings.max() > ABSORB_BOUND or scalings.min() < 1.0 / ABSORB_BOUND:
+            f += eta * np.log(u)
+            g += eta * np.log(v)
+            scalings.fill(1.0)
+            kernel = None
+            continue
+        ratio = scalings / previous
+        if ratio.min() >= lo and ratio.max() <= hi:
+            break
+    value = np.sum(wa * (f + eta * np.log(u))) + np.sum(wb * (g + eta * np.log(v)))
+    return float(value), sweep
 
 
 def _sinkhorn_w1_2d(e: ParticleEnsemble, ref: ReferenceDensity, resolution: int) -> float:
@@ -296,9 +319,9 @@ def _sinkhorn_w1_2d(e: ParticleEnsemble, ref: ReferenceDensity, resolution: int)
     wa = np.full(e.n, e.weight)
     lo, hi = ref.box
     eta = 0.01 * float(np.linalg.norm(hi - lo))
-    ab = _entropic_cost(xa, wa, xb, wb, eta)
-    aa = _entropic_cost(xa, wa, xa, wa, eta)
-    bb = _entropic_cost(xb, wb, xb, wb, eta)
+    ab, _ = _entropic_cost(xa, wa, xb, wb, eta)
+    aa, _ = _entropic_cost(xa, wa, xa, wa, eta)
+    bb, _ = _entropic_cost(xb, wb, xb, wb, eta)
     return float(max(ab - 0.5 * (aa + bb), 0.0))
 
 

@@ -368,6 +368,27 @@ def test_nonfinite_velocity_names_the_particle():
         run(spec)
 
 
+def test_nonfinite_drift_with_automatic_dt_names_the_particle():
+    # the drift's probe bound is NaN, so no time step can be derived from it
+    def broken(p):
+        out = np.zeros_like(p)
+        out[0] = np.nan
+        return out
+
+    reg = heat_reg(0.2)
+    k = MollifierKernel.gaussian(0.2, dimension=1)
+    spec = RunSpec(
+        reg=reg,
+        kernel=k,
+        velocity=VelocityConfig.custom(broken),
+        initial=gaussian_cloud(8),
+        t_final=0.1,
+        dt=None,
+    )
+    with pytest.raises(FloatingPointError, match=r"particle indices \[0\]"):
+        run(spec)
+
+
 def test_grid_follows_a_drifting_cloud():
     # constant external drift pushes the cloud far past the initial box;
     # the run only succeeds if the grid is rebuilt on the way

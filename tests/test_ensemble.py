@@ -140,9 +140,23 @@ def log_domain_w1_2d(xa, ref, per_axis):
     return max(ab - 0.5 * (aa + bb), 0.0)
 
 
-@pytest.mark.parametrize("case", ["gaussian", "shifted", "outlier"])
+def sweeps_used(xa, ref, per_axis):
+    """Sweeps that _entropic_cost spends on the ab, aa and bb terms."""
+    xb, wb = _grid_atoms_2d(ref, per_axis)
+    wa = np.full(len(xa), 1.0 / len(xa))
+    eta = 0.01 * float(np.linalg.norm(ref.box[1] - ref.box[0]))
+    pairs = ((xa, wa, xb, wb), (xa, wa, xa, wa), (xb, wb, xb, wb))
+    return [_entropic_cost(*pair, eta)[1] for pair in pairs]
+
+
+# per case, whether each term (ab, aa, bb) runs to the 500-sweep cap
+CAPPED = {"gaussian": [False, True, True], "wide": [False, False, False]}
+
+
+@pytest.mark.parametrize("case", ["gaussian", "shifted", "outlier", "wide"])
 def test_sinkhorn_w1_2d_matches_log_domain_reference(case):
     xa = np.random.default_rng(7).normal(size=(64, 2))
+    ref, per_axis = NORMAL2, 8
     if case == "shifted":
         xa += np.array([0.7, -0.3])
     if case == "outlier":
@@ -151,9 +165,14 @@ def test_sinkhorn_w1_2d_matches_log_domain_reference(case):
         atoms, _ = _grid_atoms_2d(NORMAL2, 8)
         eta = 0.01 * float(np.linalg.norm(NORMAL2.box[1] - NORMAL2.box[0]))
         assert np.linalg.norm(atoms - xa[0], axis=1).min() / eta > 745.0
-    ours = w1_vs_density(cloud(xa), NORMAL2, resolution=64)  # 8 x 8 atoms
+    if case == "wide":
+        # like heat2d: a box of +-10 sigma and 16 x 16 atoms
+        ref, per_axis = gaussian_reference(2, 1.0), 16
+    ours = w1_vs_density(cloud(xa), ref, resolution=per_axis**2)
     assert np.isfinite(ours)
-    assert ours == pytest.approx(log_domain_w1_2d(xa, NORMAL2, 8), rel=1e-12)
+    assert ours == pytest.approx(log_domain_w1_2d(xa, ref, per_axis), rel=1e-12)
+    if case in CAPPED:
+        assert [used == 500 for used in sweeps_used(xa, ref, per_axis)] == CAPPED[case]
 
 
 def test_entropic_cost_absorbs_scalings_past_overflow():
@@ -161,7 +180,7 @@ def test_entropic_cost_absorbs_scalings_past_overflow():
     # the largest double: only absorbing the scalings into f, g keeps it finite
     x = np.array([[0.0, 0.0], [1000.0, 0.0]])
     wa, wb = np.array([0.99, 0.01]), np.array([0.01, 0.99])
-    ours = _entropic_cost(x, wa, x, wb, 1.0)
+    ours, _ = _entropic_cost(x, wa, x, wb, 1.0)
     assert ours == pytest.approx(log_domain_cost(x, wa, x, wb, 1.0), rel=1e-12)
     assert ours == pytest.approx(980.0, rel=1e-6)
 
