@@ -125,24 +125,24 @@ def _newton_bisect(g_and_gp, lo, hi, scale, max_iter: int = 200, tol: float = 1e
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    scale = np.broadcast_to(scale, lo.shape)
+    accept = tol * np.broadcast_to(scale, lo.shape)
     b = 0.5 * (lo + hi)
     done = np.zeros(lo.shape, dtype=bool)
-    for _ in range(max_iter):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
             g, gp = g_and_gp(b)
-        done |= np.abs(g) <= tol * scale
-        done |= (hi - lo) <= 1e-15 * (np.abs(b) + 1e-300)
-        if done.all():
-            return b
-        above = g > 0.0
-        hi = np.where(above & ~done, np.minimum(hi, b), hi)
-        lo = np.where(~above & ~done, np.maximum(lo, b), lo)
-        with np.errstate(all="ignore"):
+            done |= np.abs(g) <= accept
+            done |= (hi - lo) <= 1e-15 * (np.abs(b) + 1e-300)
+            if done.all():
+                return b
+            live = ~done
+            above = g > 0.0
+            np.minimum(hi, b, out=hi, where=above & live)
+            np.maximum(lo, b, out=lo, where=~above & live)
+            # NaN and +-inf candidates fail both comparisons
             cand = b - g / gp
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        step = np.where(bad, 0.5 * (lo + hi), cand)
-        b = np.where(done, b, step)
+            inside = (cand > lo) & (cand < hi)
+            np.copyto(b, np.where(inside, cand, 0.5 * (lo + hi)), where=live)
     raise ConvergenceError(
         f"root solve missed tolerance {tol} on {int((~done).sum())} lane(s) "
         f"after {max_iter} iterations"

@@ -293,6 +293,9 @@ class GridWindow:
       node index, the offsets, the value and the gradient factor of every
       (particle, node) pair in the boxes, about 24 bytes per pair whatever
       the size of the grid, in fixed chunks of at most _WINDOW_BLOCK pairs.
+      The indices run over the grid extended by widths[a] nodes at both
+      ends of axis a, so no box is clipped: scatter() crops that halo and
+      gather() reads zero weights on it.
 
     Either way the blocks and chunks are fixed by the cloud alone, so every
     summation order is too.
@@ -321,6 +324,16 @@ class GridWindow:
                 self._factor_block(order[s : s + _FACTOR_BLOCK]) for s in range(0, n, _FACTOR_BLOCK)
             ]
         else:
+            # a start clamped into the haloed grid puts a box that misses
+            # the grid wholly in the halo
+            self._halo_shape = tuple(c + 2 * w for c, w in zip(self.shape, self.widths))
+            self._crop = tuple(slice(w, w + c) for c, w in zip(self.shape, self.widths))
+            self._halo_axes = tuple(
+                grid.lo[a] + spacing[a] * (np.arange(-w, c + w) + 0.5)
+                for a, (c, w) in enumerate(zip(self.shape, self.widths))
+            )
+            top = np.array(self.shape) + self.widths
+            self._halo_start = np.clip(self.start + self.widths, 0, top)
             step = max(1, _WINDOW_BLOCK // int(np.prod(self.widths)))
             self._parts = [self._chunk(slice(s, min(s + step, n))) for s in range(0, n, step)]
 
@@ -346,30 +359,28 @@ class GridWindow:
         return rows, tuple(bands), val, der
 
     def _chunk(self, rows: slice):
-        """For the particles in rows: the flat node index of every window
-        entry, the node-minus-particle offsets along each axis, the kernel
-        value and the gradient factor, shaped (chunk, widths...) or
-        broadcast to it. Entries off the grid carry zero value and factor."""
-        count = rows.stop - rows.start
-        axes = self.grid.axes
-        d = len(axes)
-        flat, offsets, on_grid = 0, [], True
+        """For the particles in rows: the flat index on the haloed grid of
+        every window entry, the node-minus-particle offsets along each axis,
+        the kernel value and the gradient factor, shaped (chunk, widths...)
+        or broadcast to it. The haloed axes hold the grid's coordinates
+        bit for bit on the grid's nodes."""
+        d = len(self.shape)
+        offsets = []
         for a in range(d):
-            index = self.start[rows, a, None] + np.arange(self.widths[a])
-            inside = (index >= 0) & (index < self.shape[a])
-            index = np.clip(index, 0, self.shape[a] - 1)
-            shape = (count,) + tuple(self.widths[b] if b == a else 1 for b in range(d))
-            flat = flat * self.shape[a] + index.reshape(shape)
-            offsets.append((axes[a][index] - self.positions[rows, a, None]).reshape(shape))
-            on_grid = on_grid & inside.reshape(shape)
+            index = self._halo_start[rows, a, None] + np.arange(self.widths[a])
+            offset = self._halo_axes[a][index] - self.positions[rows, a, None]
+            if d > 1:
+                shape = (-1,) + tuple(self.widths[b] if b == a else 1 for b in range(d))
+                index, offset = index.reshape(shape), offset.reshape(shape)
+            flat = index if a == 0 else flat * self._halo_shape[a] + index
+            offsets.append(offset)
         r2 = sup2 = offsets[0] * offsets[0]
         for off in offsets[1:]:
             sq = off * off
             r2 = r2 + sq
             sup2 = np.maximum(sup2, sq)
         val, fac = _radial_terms(self.kernel, d, r2, 1, sup2)
-        flat = np.broadcast_to(flat, r2.shape).ravel()
-        return rows, flat, offsets, np.where(on_grid, val, 0.0), np.where(on_grid, fac, 0.0)
+        return rows, flat.ravel(), offsets, val, fac
 
     def scatter(self) -> np.ndarray:
         """(phi_eps * rho^N) at every node, shape (G,): the values of
@@ -379,12 +390,12 @@ class GridWindow:
             out = np.zeros(self.shape)
             for _, bands, val, _ in self._parts:
                 out[bands] += np.einsum("ia,ib->ab", *val)
-            out = out.ravel()
         else:
-            out = np.zeros(self.node_count)
+            out = np.zeros(math.prod(self._halo_shape))
             for _, flat, _, val, _ in self._parts:
                 out += np.bincount(flat, weights=val.ravel(), minlength=out.size)
-        return out / self.positions.shape[0]
+            out = out.reshape(self._halo_shape)[self._crop]
+        return (out / self.positions.shape[0]).ravel()
 
     def gather(self, weights) -> np.ndarray:
         """sum_g weights[g] grad phi_eps(x_i - y_g) at every particle, shape
@@ -400,9 +411,12 @@ class GridWindow:
                 out[rows, 0] = np.einsum("ib,ib->i", np.einsum("ia,ab->ib", der[0], band), val[1])
                 out[rows, 1] = np.einsum("ib,ib->i", np.einsum("ia,ab->ib", val[0], band), der[1])
             return out
+        padded = np.zeros(self._halo_shape)
+        padded[self._crop] = weights.reshape(self.shape)
+        padded = padded.ravel()
         for rows, flat, offsets, _, fac in self._parts:
             # grad phi(x - y) = c(|x - y|^2) (x - y), and x - y = -offset
-            scaled = fac * weights[flat].reshape(fac.shape)
+            scaled = fac * padded[flat].reshape(fac.shape)
             for a, off in enumerate(offsets):
                 out[rows, a] = -(scaled * off).reshape(len(scaled), -1).sum(axis=1)
         return out

@@ -4,8 +4,9 @@ profiles, and steady states of energy + confining potential.
 All densities are returned as ReferenceDensity objects (pdf on a box, CDF in
 d=1) so initialization and W1 measurements share one interface. The
 Barenblatt mass constant is fixed by unit mass in closed form, as a Beta
-integral; its d=1 CDF uses regularized incomplete beta functions. scipy.special
-is imported by the d=1 CDFs that need erf or betainc, on their first call.
+integral; its d=1 CDF uses regularized incomplete beta functions, and
+scipy.special is imported on its first call. The d=1 Gaussian CDF is
+math.erf, lane by lane.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .convex_energy import (
 )
 from .ensemble import ReferenceDensity
 from .mollifier import QuadratureGrid, _beta, _surface_area
+
+# without scipy.special, whose import is most of a d = 1 Gaussian or
+# heat-kernel run's set-up
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -185,10 +190,8 @@ def gaussian_reference(d: int, sigma: float, center: float = 0.0) -> ReferenceDe
     if d == 1:
 
         def cdf(xs):
-            from scipy.special import erf
-
             xs = np.asarray(xs, dtype=float)
-            return 0.5 * (1.0 + erf((xs - center) / (sigma * math.sqrt(2.0))))
+            return 0.5 * (1.0 + _erf((xs - center) / (sigma * math.sqrt(2.0))))
 
     return ReferenceDensity(
         name=f"gaussian(sigma={sigma})", dim=d, pdf=pdf, box=(lo, hi), cdf=cdf

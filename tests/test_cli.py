@@ -708,8 +708,9 @@ def test_importing_the_package_loads_no_scipy():
 
 
 def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
-    # kernel norms and Barenblatt constants are numpy/math; scipy.integrate
-    # costs about 0.3 s of import and scipy.special as much again
+    # kernel norms, Barenblatt constants and erf are numpy/math;
+    # scipy.integrate costs about 0.3 s of import and scipy.special as much
+    # again, which only the d = 1 Barenblatt CDF (betainc) still pays
     heat2d = write_config(
         tmp_path,
         base_config(
@@ -721,6 +722,8 @@ def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
         ),
         "heat2d.ini",
     )
+    # a d = 1 Gaussian start and reference: both CDFs are erf
+    heat1d = write_config(tmp_path, base_config(), "heat1d.ini")
     barenblatt = write_config(
         tmp_path,
         base_config(
@@ -737,6 +740,8 @@ def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
         "loaded = [m for m in sys.modules if m.startswith('scipy.')]"
     )
     loaded = _modules_loaded_by(run.format(cfg=heat2d, out=str(tmp_path / "a")))
+    assert not {"scipy.integrate", "scipy.special"} & loaded
+    loaded = _modules_loaded_by(run.format(cfg=heat1d, out=str(tmp_path / "c")))
     assert not {"scipy.integrate", "scipy.special"} & loaded
     loaded = _modules_loaded_by(run.format(cfg=barenblatt, out=str(tmp_path / "b")))
     assert "scipy.special" in loaded and "scipy.integrate" not in loaded

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blobflow.convex_energy import (
+    ConvergenceError,
     EnergyFamily,
     RegularizedEnergy,
     energy_value,
@@ -15,6 +16,7 @@ from blobflow.convex_energy import (
     reg_conjugate_derivative,
     reg_derivative,
     reg_value,
+    _newton_bisect,
 )
 
 HEAT = EnergyFamily.heat()
@@ -119,6 +121,30 @@ def test_prox_heat_far_below_zero(delta):
         y = ratio - np.exp(y) / delta
     normal = (np.exp(y) > 1e-300) & (np.exp(y) < 0.5 * delta)
     np.testing.assert_allclose(b[normal], np.exp(y[normal]), rtol=1e-12, atol=0.0)
+
+
+def test_newton_falls_back_to_bisection_on_infinite_and_nan_candidates():
+    # g = (x - 2)^3 - 1/2 on [0, 4]: at the first midpoint g' = 0, so the
+    # Newton candidate is +inf on lane 0; lane 1 reports g' = NaN there
+    seen = []
+
+    def g_and_gp(x):
+        seen.append(x.copy())
+        gp = 3.0 * (x - 2.0) ** 2
+        return (x - 2.0) ** 3 - 0.5, np.where((x == 2.0) & [False, True], np.nan, gp)
+
+    root = _newton_bisect(g_and_gp, [0.0, 0.0], [4.0, 4.0], 1.0)
+    np.testing.assert_array_equal(seen[0], [2.0, 2.0])
+    np.testing.assert_array_equal(seen[1], [3.0, 3.0])  # the midpoint of [2, 4]
+    np.testing.assert_allclose(root, 2.0 + 0.5 ** (1.0 / 3.0), rtol=1e-12)
+
+
+def test_newton_names_how_many_lanes_missed():
+    # x + shift has no root in [0, 1] on lane 2: its bracket halves towards
+    # 0 and never closes to relative resolution in 200 steps
+    shift = np.array([-0.3, -0.7, 10.0])
+    with pytest.raises(ConvergenceError, match=r"on 1 lane\(s\) after 200 iterations"):
+        _newton_bisect(lambda x: (x + shift, np.ones_like(x)), np.zeros(3), np.ones(3), 1.0)
 
 
 @given(family=family_strategy, delta=delta_strategy, data=st.data())

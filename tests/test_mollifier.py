@@ -206,19 +206,22 @@ def test_mollified_density_mass_and_dense_agreement():
     np.testing.assert_allclose(mu, dense, rtol=1e-13, atol=1e-18)
 
 
-def _window_case(kind, d, blocks=False):
+def _window_case(kind, d, cloud="shell"):
     """A kernel, a grid with unequal spacings, its C-ordered nodes, and a
-    cloud with particles inside the 2 eps shell at every box face. With
-    blocks, the d = 2 cloud has 250 particles, four separable blocks with
-    the last one partial, and an outlier at each end of each axis."""
-    rng = np.random.default_rng(10 * d + len(kind) + (7 if blocks else 0))
+    cloud with particles inside the 2 eps shell at every box face and on
+    both corners of the box. With cloud = "blocks", the d = 2 cloud has 250
+    particles, four separable blocks with the last one partial, and an
+    outlier at each end of each axis. With cloud = "far", particles also
+    lie 1.5 and 4 windows past each end of every axis, alone and at every
+    corner, so their window starts are clamped into the halo."""
+    rng = np.random.default_rng(10 * d + len(kind) + (7 if cloud == "blocks" else 0))
     eps = 0.1 if d == 1 else 0.25
     k = (
         MollifierKernel.gaussian(eps, dimension=d)
         if kind == "gaussian"
         else MollifierKernel.bump(eps, dimension=d)
     )
-    if blocks:
+    if cloud == "blocks":
         pos = np.vstack([rng.normal(scale=0.4, size=(236, d)), 1.8 * np.eye(d), -1.8 * np.eye(d)])
     else:
         pos = rng.normal(scale=0.6, size=(40, d))
@@ -229,18 +232,25 @@ def _window_case(kind, d, blocks=False):
     nodes = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
     shell = rng.uniform(0.0, 2.0 * eps, size=(8, d))
     pos = np.vstack([pos, lo + shell[:4], hi - shell[4:], lo, hi])
+    if cloud == "far":
+        reach = 2.0 * k.support_radius + 4.0 * ((hi - lo) / counts).max()
+        far = [lo - 1.5 * reach, hi + 1.5 * reach, lo - 4.0 * reach, hi + 4.0 * reach]
+        mid = 0.5 * (lo + hi)
+        pos = np.vstack([pos] + far + [np.where(np.eye(d, dtype=bool), x, mid) for x in far])
     return k, QuadratureGrid(lo, hi, counts), nodes, pos
 
 
 WINDOW_CASES = pytest.mark.parametrize(
-    "d, blocks", [(1, False), (2, False), (2, True)], ids=["1", "2", "2-blocks"]
+    "d, cloud",
+    [(1, "shell"), (2, "shell"), (2, "blocks"), (1, "far"), (2, "far")],
+    ids=["1", "2", "2-blocks", "1-far", "2-far"],
 )
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
 @WINDOW_CASES
-def test_window_scatter_matches_dense_density(kind, d, blocks):
-    k, grid, nodes, pos = _window_case(kind, d, blocks)
+def test_window_scatter_matches_dense_density(kind, d, cloud):
+    k, grid, nodes, pos = _window_case(kind, d, cloud)
     window = GridWindow(k, pos, grid)
     assert all(w < n for w, n in zip(window.widths, window.shape))
     np.testing.assert_allclose(
@@ -250,8 +260,8 @@ def test_window_scatter_matches_dense_density(kind, d, blocks):
 
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
 @WINDOW_CASES
-def test_window_gather_matches_dense_sum(kind, d, blocks):
-    k, grid, nodes, pos = _window_case(kind, d, blocks)
+def test_window_gather_matches_dense_sum(kind, d, cloud):
+    k, grid, nodes, pos = _window_case(kind, d, cloud)
     weights = np.random.default_rng(5).normal(size=nodes.shape[0])
     terms = kernel_gradient(k, pos[None, :, :] - nodes[:, None, :]) * weights[:, None, None]
     dense = terms.sum(axis=0)
@@ -266,7 +276,7 @@ def test_window_blocks_case_covers_the_block_loop():
     # the separable path sorts particles by axis-0 window start and cuts
     # them into blocks of 64; the last is partial and the outliers' bands
     # are clipped at the grid edge
-    k, grid, _, pos = _window_case("gaussian", 2, blocks=True)
+    k, grid, _, pos = _window_case("gaussian", 2, "blocks")
     window = GridWindow(k, pos, grid)
     sizes = [len(rows) for rows, *_ in window._parts]
     assert len(sizes) >= 4 and sizes[:-1] == [64] * (len(sizes) - 1) and 0 < sizes[-1] < 64
