@@ -172,10 +172,6 @@ class VelocityConfig:
             grad=lambda p: np.array(p, dtype=float, copy=True),
         )
 
-    @staticmethod
-    def custom(fn) -> "VelocityConfig":
-        return VelocityConfig(grad=fn)
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if self.grad is not None:

@@ -5,10 +5,12 @@ An ensemble is N uniformly weighted particles in R^d stored as a read-only
 a 1d target or rejection-samples any-dimensional targets with a seeded PCG64
 generator. Metrics: second moment, and W1 against a reference density
 (CDF form in d=1, debiased entropic transport in d=2). The d=2 transport
-costs run Sinkhorn sweeps in scaling form, two matrix-vector products each,
-from c-transform potentials and with large scalings absorbed into the
-potentials; each cost stops once its potentials move by no more than a fixed
-multiple of double rounding, and after 500 sweeps at most.
+costs run Sinkhorn sweeps in scaling form from c-transform potentials, with
+large scalings absorbed into the potentials: the cloud-to-reference cost two
+matrix-vector products a sweep, each self cost the symmetric averaged update,
+one product and a square root a sweep. Each cost stops once its potentials
+move by no more than a fixed multiple of double rounding, and after 500
+sweeps at most.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ ABSORB_BOUND = math.exp(ABSORB_LOG)
 # a Sinkhorn term stops once its potentials move by at most this many units
 # of double rounding
 STOP_ULPS = 64
+# and after at most this many sweeps
+MAX_SWEEPS = 500
 
 QUANTILE = "quantile"
 REJECTION = "rejection"
@@ -232,7 +236,8 @@ def w1_vs_density(
     per_axis = sqrt(resolution) clipped to [8, 64], with cost |x - y| and
     entropic scale eta = 0.01 |box diagonal|. Each term runs stabilized
     Sinkhorn sweeps until its potentials stop moving at double rounding, 500
-    at most (_entropic_cost); the result is clipped at 0.
+    at most: two-sided for ab (_entropic_cost), the symmetric update for aa
+    and bb (_self_cost). The result is clipped at 0.
     """
     if e.dim != ref.dim:
         raise ValueError("dimension mismatch between ensemble and reference")
@@ -260,7 +265,27 @@ def _grid_atoms_2d(ref: ReferenceDensity, per_axis: int):
     return pts, w / total
 
 
-def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = 500) -> tuple[float, int]:
+def _distances(xa, xb):
+    """|x_i - y_j| for every pair of atoms, as an (N, M) array."""
+    # summed axis by axis: the bits of summing the squares over the last axis
+    # of an (N, M, d) difference array, without building that array
+    cost = sum(np.subtract.outer(xa[:, ax], xb[:, ax]) ** 2 for ax in range(xa.shape[1]))
+    return np.sqrt(cost, out=cost)
+
+
+def _gibbs_kernel(f, g, cost, eta: float):
+    """K = exp((f_i + g_j - C_ij) / eta), and the band (lo, hi) in which every
+    scaling ratio of a sweep must lie for its term to stop."""
+    kernel = f[:, None] + g[None, :]
+    kernel -= cost
+    kernel /= eta
+    np.exp(kernel, out=kernel)
+    # |eta log(u'/u)| <= tol  <=>  u'/u within exp(+-tol/eta)
+    tol = STOP_ULPS * np.finfo(float).eps * max(1.0, np.abs(f).max(), np.abs(g).max())
+    return kernel, np.exp(-tol / eta), np.exp(tol / eta)
+
+
+def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = MAX_SWEEPS) -> tuple[float, int]:
     """Entropic transport cost between weighted atoms, cost |x - y|.
 
     Sinkhorn in scaling form, stabilized by absorption (Schmitzer, SIAM J.
@@ -273,13 +298,11 @@ def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = 500) -> tuple[float
     max(1, max |f|, max |g|), or after `sweeps` sweeps. The rule reads
     nothing but the iterates, and the iterates do not depend on the run or
     the BLAS thread count, so neither does the sweep it stops at: reruns
-    and thread counts give the same bits.
+    and thread counts give the same bits. A cost of atoms to themselves
+    converges far sooner by _self_cost.
     Returns (sum wa (f + eta log u) + sum wb (g + eta log v), sweeps used).
     """
-    # summed axis by axis: the bits of summing the squares over the last axis
-    # of an (N, M, d) difference array, without building that array
-    cost = sum(np.subtract.outer(xa[:, ax], xb[:, ax]) ** 2 for ax in range(xa.shape[1]))
-    np.sqrt(cost, out=cost)
+    cost = _distances(xa, xb)
     f = cost.min(axis=1)
     g = (cost - f[:, None]).min(axis=0)
     # u and v are views of one buffer, so each test below is one reduction
@@ -289,13 +312,7 @@ def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = 500) -> tuple[float
     kernel = None
     for sweep in range(1, sweeps + 1):
         if kernel is None:
-            kernel = f[:, None] + g[None, :]
-            kernel -= cost
-            kernel /= eta
-            np.exp(kernel, out=kernel)
-            # |eta log(u'/u)| <= tol  <=>  u'/u within exp(+-tol/eta)
-            tol = STOP_ULPS * np.finfo(float).eps * max(1.0, np.abs(f).max(), np.abs(g).max())
-            lo, hi = np.exp(-tol / eta), np.exp(tol / eta)
+            kernel, lo, hi = _gibbs_kernel(f, g, cost, eta)
         np.copyto(previous, scalings)
         np.divide(1.0, kernel @ (v * wb), out=u)
         np.divide(1.0, kernel.T @ (u * wa), out=v)
@@ -312,6 +329,41 @@ def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = 500) -> tuple[float
     return float(value), sweep
 
 
+def _self_cost(x, w, eta: float) -> tuple[float, int]:
+    """Entropic transport cost of weighted atoms to themselves, cost |x - y|.
+
+    The problem is symmetric, so one potential f serves both sides, and the
+    averaged fixed-point update f <- (f + T(f)) / 2, T the entropic
+    c-transform, converges in tens of sweeps where the two-sided update of
+    _entropic_cost takes hundreds (Feydy et al., AISTATS 2019). In scaling
+    form, f starts at the c-transform of zero, which is 0 on the diagonal,
+    and each sweep is one matrix-vector product and a square root:
+    u <- sqrt(u / K (w u)), K = exp((f_i + f_j - C_ij) / eta). Absorption,
+    the stopping rule on eta log u and the MAX_SWEEPS cap are _entropic_cost's.
+    Returns (2 sum w (f + eta log u), sweeps used).
+    """
+    cost = _distances(x, x)
+    f = np.zeros(len(w))
+    u = np.ones(len(w))
+    previous = np.empty_like(u)
+    kernel = None
+    for sweep in range(1, MAX_SWEEPS + 1):
+        if kernel is None:
+            kernel, lo, hi = _gibbs_kernel(f, f, cost, eta)
+        np.copyto(previous, u)
+        np.divide(u, kernel @ (w * u), out=u)
+        np.sqrt(u, out=u)
+        if u.max() > ABSORB_BOUND or u.min() < 1.0 / ABSORB_BOUND:
+            f += eta * np.log(u)
+            u.fill(1.0)
+            kernel = None
+            continue
+        ratio = u / previous
+        if ratio.min() >= lo and ratio.max() <= hi:
+            break
+    return float(2.0 * np.sum(w * (f + eta * np.log(u)))), sweep
+
+
 def _sinkhorn_w1_2d(e: ParticleEnsemble, ref: ReferenceDensity, resolution: int) -> float:
     per_axis = max(8, min(64, int(np.sqrt(resolution))))
     xb, wb = _grid_atoms_2d(ref, per_axis)
@@ -320,8 +372,8 @@ def _sinkhorn_w1_2d(e: ParticleEnsemble, ref: ReferenceDensity, resolution: int)
     lo, hi = ref.box
     eta = 0.01 * float(np.linalg.norm(hi - lo))
     ab, _ = _entropic_cost(xa, wa, xb, wb, eta)
-    aa, _ = _entropic_cost(xa, wa, xa, wa, eta)
-    bb, _ = _entropic_cost(xb, wb, xb, wb, eta)
+    aa, _ = _self_cost(xa, wa, eta)
+    bb, _ = _self_cost(xb, wb, eta)
     return float(max(ab - 0.5 * (aa + bb), 0.0))
 
 

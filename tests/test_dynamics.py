@@ -359,7 +359,7 @@ def test_nonfinite_velocity_names_the_particle():
     spec = RunSpec(
         reg=reg,
         kernel=k,
-        velocity=VelocityConfig.custom(broken),
+        velocity=VelocityConfig(grad=broken),
         initial=gaussian_cloud(8),
         t_final=0.1,
         dt=0.01,
@@ -380,7 +380,7 @@ def test_nonfinite_drift_with_automatic_dt_names_the_particle():
     spec = RunSpec(
         reg=reg,
         kernel=k,
-        velocity=VelocityConfig.custom(broken),
+        velocity=VelocityConfig(grad=broken),
         initial=gaussian_cloud(8),
         t_final=0.1,
         dt=None,
@@ -395,7 +395,7 @@ def test_grid_follows_a_drifting_cloud():
     reg = heat_reg(0.2)
     k = MollifierKernel.gaussian(0.2, dimension=1)
     init = gaussian_cloud(32)
-    drift = VelocityConfig.custom(lambda p: -2.0 * np.ones_like(p))
+    drift = VelocityConfig(grad=lambda p: -2.0 * np.ones_like(p))
     spec = RunSpec(
         reg=reg, kernel=k, velocity=drift, initial=init, t_final=1.5, dt=0.02,
         record_every=10**6,

@@ -12,8 +12,10 @@ from blobflow.ensemble import (
     ParticleEnsemble,
     ReferenceDensity,
     RejectionStallError,
+    ABSORB_LOG,
     _entropic_cost,
     _grid_atoms_2d,
+    _self_cost,
     load_snapshot,
     prepare_initial_particles,
     quantiles_from_cdf,
@@ -130,27 +132,38 @@ def log_domain_cost(x, wx, y, wy, eta, sweeps=500):
     return wx @ f + wy @ g
 
 
+def log_domain_self_cost(x, w, eta):
+    """Entropic cost of atoms to themselves by the symmetric log-domain update
+    f <- (f + T(f)) / 2 from f = 0, run to its fixed point; returns 2 w.f."""
+    c = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    f = np.zeros(len(x))
+    for _ in range(5000):
+        new = 0.5 * (f - eta * logsumexp((f - c) / eta + np.log(w), axis=1))
+        settled = np.abs(new - f).max() <= 4 * np.finfo(float).eps * max(1.0, np.abs(f).max())
+        f = new
+        if settled:
+            break
+    else:
+        raise AssertionError("log-domain self-cost reference did not settle in 5000 sweeps")
+    return 2.0 * (w @ f)
+
+
 def log_domain_w1_2d(xa, ref, per_axis):
     xb, wb = _grid_atoms_2d(ref, per_axis)
     wa = np.full(len(xa), 1.0 / len(xa))
     eta = 0.01 * float(np.linalg.norm(ref.box[1] - ref.box[0]))
     ab = log_domain_cost(xa, wa, xb, wb, eta)
-    aa = log_domain_cost(xa, wa, xa, wa, eta)
-    bb = log_domain_cost(xb, wb, xb, wb, eta)
+    aa = log_domain_self_cost(xa, wa, eta)
+    bb = log_domain_self_cost(xb, wb, eta)
     return max(ab - 0.5 * (aa + bb), 0.0)
 
 
-def sweeps_used(xa, ref, per_axis):
-    """Sweeps that _entropic_cost spends on the ab, aa and bb terms."""
+def self_sweeps_used(xa, ref, per_axis):
+    """Sweeps that _self_cost spends on the aa and bb terms."""
     xb, wb = _grid_atoms_2d(ref, per_axis)
     wa = np.full(len(xa), 1.0 / len(xa))
     eta = 0.01 * float(np.linalg.norm(ref.box[1] - ref.box[0]))
-    pairs = ((xa, wa, xb, wb), (xa, wa, xa, wa), (xb, wb, xb, wb))
-    return [_entropic_cost(*pair, eta)[1] for pair in pairs]
-
-
-# per case, whether each term (ab, aa, bb) runs to the 500-sweep cap
-CAPPED = {"gaussian": [False, True, True], "wide": [False, False, False]}
+    return [_self_cost(x, w, eta)[1] for x, w in ((xa, wa), (xb, wb))]
 
 
 @pytest.mark.parametrize("case", ["gaussian", "shifted", "outlier", "wide"])
@@ -171,8 +184,44 @@ def test_sinkhorn_w1_2d_matches_log_domain_reference(case):
     ours = w1_vs_density(cloud(xa), ref, resolution=per_axis**2)
     assert np.isfinite(ours)
     assert ours == pytest.approx(log_domain_w1_2d(xa, ref, per_axis), rel=1e-12)
-    if case in CAPPED:
-        assert [used == 500 for used in sweeps_used(xa, ref, per_axis)] == CAPPED[case]
+    # both self terms end by the stopping rule, far from the 500-sweep cap
+    assert max(self_sweeps_used(xa, ref, per_axis)) < 100
+    if case in ("gaussian", "wide"):
+        # and so does the two-sided ab term, under the cap
+        xb, wb = _grid_atoms_2d(ref, per_axis)
+        wa = np.full(len(xa), 1.0 / len(xa))
+        eta = 0.01 * float(np.linalg.norm(ref.box[1] - ref.box[0]))
+        assert _entropic_cost(xa, wa, xb, wb, eta)[1] < 500
+
+
+@pytest.mark.parametrize("eta, absorbs", [(None, False), (0.1, True)])
+def test_self_cost_on_faint_atoms(eta, absorbs):
+    # a standard normal on +-22: the corner atoms weigh about 1e-185. At the
+    # W1's eta (a hundredth of the box diagonal) the first sweep's scalings
+    # reach about exp(23); at eta 0.1 they pass exp(ABSORB_LOG) and are absorbed
+    box = (np.full(2, -22.0), np.full(2, 22.0))
+    xb, wb = _grid_atoms_2d(ReferenceDensity(name="far", dim=2, pdf=NORMAL2.pdf, box=box), 16)
+    assert wb.min() < 1e-180
+    if eta is None:
+        eta = 0.01 * float(np.linalg.norm(box[1] - box[0]))
+    c = np.sqrt(((xb[:, None, :] - xb[None, :, :]) ** 2).sum(axis=2))
+    first_log_u = -0.5 * np.log(np.exp(-c / eta) @ wb)
+    assert (first_log_u.max() > ABSORB_LOG) == absorbs
+    ours, used = _self_cost(xb, wb, eta)
+    assert ours == pytest.approx(log_domain_self_cost(xb, wb, eta), rel=1e-12)
+    assert used < 100
+
+
+def test_self_cost_matches_two_sided_sinkhorn_run_long():
+    # on this cloud the two-sided update needs more than the 500-sweep cap
+    x = np.random.default_rng(0).normal(size=(400, 2))
+    w = np.full(400, 1.0 / 400)
+    eta = 0.01 * float(np.linalg.norm(np.full(2, 20.0)))
+    plain, plain_used = _entropic_cost(x, w, x, w, eta, sweeps=20000)
+    ours, used = _self_cost(x, w, eta)
+    assert 500 < plain_used < 20000
+    assert used < 100
+    assert ours == pytest.approx(plain, rel=1e-13)
 
 
 def test_entropic_cost_absorbs_scalings_past_overflow():
