@@ -15,7 +15,7 @@ Extended-real convention: values outside the effective domain are IEEE +inf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,6 +93,7 @@ class RegularizedEnergy:
         if not (np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("delta must be a positive finite real")
 
+    # both read J_delta(0) from _prox_at_zero, so they share its one solve
     @cached_property
     def moreau_zero(self) -> float:
         return float(moreau_value(self.family, self.delta, 0.0))
@@ -233,50 +234,75 @@ def _stationary(family: EnergyFamily, alpha: float, beta: float, r):
     return out
 
 
+@lru_cache(maxsize=None)
+def _prox_at_zero(family: EnergyFamily, delta: float) -> float:
+    """J_delta(0), solved once per (family, delta) as a one-lane _stationary
+    solve. Each lane of a solve runs its own elementwise arithmetic, so this
+    is bit for bit the value a zero lane of any larger solve reaches."""
+    return float(_stationary(family, 1.0, delta, np.zeros(1))[0])
+
+
 def prox(family: EnergyFamily, delta: float, a):
     """Proximal point J_delta(a) = argmin_b f(b) + (b - a)^2 / (2 delta).
 
     The height constraint clips to [0, 1]; the other families solve their
-    stationarity condition with _stationary.
+    stationarity condition with _stationary on the lanes with a != 0 only.
+    Lanes with a == 0, the grid nodes no particle reaches, take J_delta(0)
+    from _prox_at_zero, the value their own solve would reach.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     arr, scalar = _prepare(a)
     if family.kind == HEIGHT_CONSTRAINT:
         return _finish(np.clip(arr, 0.0, 1.0), scalar)
-    out = _stationary(family, 1.0, delta, arr.ravel())
+    flat = arr.ravel()
+    live = flat != 0.0
+    if live.all():
+        out = _stationary(family, 1.0, delta, flat)
+    else:
+        out = np.full_like(flat, _prox_at_zero(family, float(delta)))
+        if live.any():
+            out[live] = _stationary(family, 1.0, delta, flat[live])
     return _finish(out.reshape(arr.shape), scalar)
 
 
-def moreau_value(family: EnergyFamily, delta: float, a):
-    """Moreau envelope env_delta(a) = f(J) + (a - J)^2 / (2 delta)."""
+def moreau_value(family: EnergyFamily, delta: float, a, j=None):
+    """Moreau envelope env_delta(a) = f(J) + (a - J)^2 / (2 delta), with
+    J = J_delta(a) solved here unless the caller passes it as j."""
     arr, scalar = _prepare(a)
-    j = np.asarray(prox(family, delta, arr))
+    j = np.asarray(prox(family, delta, arr) if j is None else j)
     val = energy_value(family, j) + (arr - j) ** 2 / (2.0 * delta)
     return _finish(val, scalar)
 
 
-def reg_value(reg: RegularizedEnergy, a):
-    """f_reg(a) for a >= 0, +inf for a < 0. Normalized so f_reg(0) = 0."""
+def reg_value(reg: RegularizedEnergy, a, j=None):
+    """f_reg(a) for a >= 0, +inf for a < 0. Normalized so f_reg(0) = 0.
+
+    j, when given, is the prox point J_delta(a) that reg_derivative wrote
+    for the same a; the envelope then reuses it instead of solving again.
+    """
     arr, scalar = _prepare(a)
     neg = arr < 0.0
     safe = np.where(neg, 0.0, arr)
-    env = np.asarray(moreau_value(reg.family, reg.delta, safe))
+    env = np.asarray(moreau_value(reg.family, reg.delta, safe, j))
     val = 0.5 * reg.delta * safe**2 + env - reg.moreau_zero
     out = np.where(neg, INF, val)
     return _finish(out, scalar)
 
 
-def reg_derivative(reg: RegularizedEnergy, a):
+def reg_derivative(reg: RegularizedEnergy, a, prox_out=None):
     """f_reg'(a) = delta a + (a - J_delta(a)) / delta, for a >= 0.
 
     Smooth with curvature in [delta, delta + 1/delta]; in particular strictly
-    increasing, so it admits a global inverse used by the conjugate.
+    increasing, so it admits a global inverse used by the conjugate. An
+    array prox_out of a's shape receives J_delta(a), for reg_value's j.
     """
     arr, scalar = _prepare(a)
     if (arr < 0.0).any():
         raise ValueError("reg_derivative is defined on [0, inf)")
     j = np.asarray(prox(reg.family, reg.delta, arr))
+    if prox_out is not None:
+        prox_out[...] = j
     out = reg.delta * arr + (arr - j) / reg.delta
     return _finish(out, scalar)
 

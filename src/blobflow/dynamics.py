@@ -3,8 +3,9 @@
 Particles move by x_i' = -grad p(x_i) - v(x_i) where p = phi_eps * q,
 q = f_reg'(mu), mu = phi_eps * (particle empirical measure). Convolutions are
 evaluated by midpoint quadrature on a tensor grid that tracks the cloud;
-only mu and q are rebuilt at every integrator stage, and the node gradients
-and zeta are derived when a diagnostic reads them. Diagnostics per record:
+only mu, the prox point of mu and q are rebuilt at every integrator stage,
+and the node gradients, f_reg(mu) and zeta are derived from them when a
+diagnostic reads them. Diagnostics per record:
 energy, mollified entropy, second moment, dissipation residual, cross-term
 sign, stability constant, and optional W1-to-reference. The mollifier-exchange
 residual is a function of one cloud (exchange_residual), not a per-record
@@ -72,14 +73,17 @@ def build_grid(
 
 @dataclass(frozen=True)
 class FieldSnapshot:
-    """mu and q = f_reg'(mu) on a quadrature grid, with the energy they were
-    built with and the particle window that scattered mu, for the gather at
-    the same cloud. The node gradients and zeta = f_reg*(q) are computed on
-    first access and cached."""
+    """mu, its prox point j = J_delta(mu) and q = f_reg'(mu) on a quadrature
+    grid, with the energy they were built with and the particle window that
+    scattered mu, for the gather at the same cloud. The stage solves the
+    prox once. f_reg(mu) is computed from j at each read, with no second
+    solve; zeta = f_reg*(q) and the node gradients are computed on first
+    access and cached."""
 
     grid: QuadratureGrid
     reg: RegularizedEnergy
     mu: np.ndarray
+    j: np.ndarray
     q: np.ndarray
     window: GridWindow
 
@@ -91,11 +95,14 @@ class FieldSnapshot:
     def grad_q(self) -> np.ndarray:
         return _node_gradients(self.grid, self.q)
 
+    @property
+    def f_reg(self) -> np.ndarray:
+        return np.asarray(reg_value(self.reg, self.mu, self.j))
+
     @cached_property
     def zeta(self) -> np.ndarray:
         # Fenchel-Young equality at the maximizer: f*(f'(mu)) = mu q - f(mu)
-        f_mu = np.asarray(reg_value(self.reg, self.mu))
-        return np.maximum(self.mu * self.q - f_mu, 0.0)
+        return np.maximum(self.mu * self.q - self.f_reg, 0.0)
 
 
 def _node_gradients(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
@@ -113,15 +120,17 @@ def compute_fields(
     k: MollifierKernel,
     grid: QuadratureGrid,
 ) -> FieldSnapshot:
-    """Evaluate mu and q for the current cloud.
+    """Evaluate mu, its prox point and q for the current cloud.
 
     mu is scattered through the cloud's window on the grid; its values are
-    those of mollified_density(e, k, grid.nodes).
+    those of mollified_density(e, k, grid.nodes). The one prox solve of the
+    stage runs inside reg_derivative, which writes its prox point to j.
     """
     window = GridWindow(k, e, grid)
     mu = window.scatter()
-    q = np.asarray(reg_derivative(reg, mu))
-    return FieldSnapshot(grid=grid, reg=reg, mu=mu, q=q, window=window)
+    j = np.empty_like(mu)
+    q = np.asarray(reg_derivative(reg, mu, prox_out=j))
+    return FieldSnapshot(grid=grid, reg=reg, mu=mu, j=j, q=q, window=window)
 
 
 def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.ndarray:
@@ -245,7 +254,7 @@ def lipschitz_estimate(
 
 def energy_F_eps(fields: FieldSnapshot) -> float:
     """F = sum_g w_g f_reg(mu_g); zero-density regions contribute nothing."""
-    return float(np.sum(np.asarray(reg_value(fields.reg, fields.mu))) * fields.grid.cell)
+    return float(np.sum(fields.f_reg) * fields.grid.cell)
 
 
 def entropy_mollified(fields: FieldSnapshot) -> float:

@@ -12,7 +12,9 @@ evaluates at arbitrary points by a dense sum. QuadratureGrid is the one
 cell-centred tensor grid of the package, for the stage fields, the 2d W1
 atoms and the steady states; GridWindow does the dense sum on its nodes, and
 its transpose back to the particles, over each particle's kernel stencil
-only; in d = 2 it runs the Gaussian as per-axis factors.
+only; in d = 2 it runs the Gaussian as per-axis factors. What a window
+takes from the grid and kernel alone, its WindowLayout, is built once per
+grid and kernel and kept on the grid.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 GAUSSIAN = "gaussian"
@@ -138,12 +141,15 @@ def _radial_terms(k: MollifierKernel, d: int, r2, order: int = 0, sup2=None) -> 
     if k.kind == GAUSSIAN:
         cut = k.support_radius
         inside = (r2 if sup2 is None else sup2) <= cut * cut
-        val = np.where(inside, amp * np.exp(-0.5 * r2 / eps2), 0.0)
+        # written in place; NaN fails the comparison and gets 0, as inf does
+        val = np.asarray(amp * np.exp(-0.5 * r2 / eps2))
+        np.copyto(val, 0.0, where=~inside)
         terms = (lambda: val, lambda: -val / eps2, lambda: val / (2.0 * eps2 * eps2))
     else:
         q = k.order
         u2 = r2 / eps2
-        core = np.where(u2 < 1.0, 1.0 - u2, 0.0)
+        core = np.asarray(1.0 - u2)
+        np.copyto(core, 0.0, where=~(u2 < 1.0))
         terms = (
             lambda: amp * core**q,
             lambda: amp * q * core ** (q - 1) * (-2.0 / eps2),
@@ -251,6 +257,18 @@ class QuadratureGrid:
     def cell(self) -> float:
         return float(np.prod(self.spacing))
 
+    @cached_property
+    def _layouts(self) -> dict:
+        return {}
+
+    def window_layout(self, k: MollifierKernel) -> "WindowLayout":
+        """The WindowLayout of kernel k on this grid, built on first use and
+        kept with the grid, so every window on it shares one."""
+        layout = self._layouts.get(k)
+        if layout is None:
+            layout = self._layouts[k] = WindowLayout(k, self)
+        return layout
+
     def covers(self, points: np.ndarray, slack: float = 0.0) -> bool:
         return bool(
             np.all(points >= self.lo + slack) and np.all(points <= self.hi - slack)
@@ -268,6 +286,59 @@ class QuadratureGrid:
         return mask.ravel()
 
 
+class WindowLayout:
+    """Everything a GridWindow takes from its grid and kernel alone, built
+    once per pair by QuadratureGrid.window_layout.
+
+    widths[a] is the box of nodes along axis a that holds one particle's
+    support, with one node of slack at each end to absorb rounding in the
+    index arithmetic (entries past the support get an exact zero weight).
+    first holds the first node of each axis, for the box starts. The
+    separable layout (the Gaussian in d = 2) needs nothing more. Every
+    other layout indexes the grid extended by a halo of widths[a] nodes at
+    both ends of axis a, so that no box is clipped:
+
+    - halo_shape, crop (the grid inside the halo) and top, the largest box
+      start: a start clamped to [0, top] puts a box that misses the grid
+      wholly in the halo;
+    - step, the particles per chunk, at most _WINDOW_BLOCK pairs;
+    - axis_windows[a], the sliding windows of width widths[a] over the
+      haloed axis a, whose coordinates are the grid's bit for bit on the
+      grid's nodes, so row s holds the nodes of a box starting at s, and
+      axis_shapes[a], the shape that broadcasts rows of it along axis a;
+    - box_flat, the flat haloed index of every node of a box against its
+      first node, and strides, the flat index steps along each axis;
+    - padded, a haloed buffer with zeros in the halo, and padded_windows,
+      its sliding windows of shape widths: gather() writes the weights
+      into the crop and reads every box from padded_windows.
+    """
+
+    def __init__(self, k: MollifierKernel, grid: QuadratureGrid):
+        spacing = grid.spacing
+        self.widths = tuple(int(w) for w in np.ceil(2.0 * k.support_radius / spacing) + 4)
+        self.first = np.array([a[0] for a in grid.axes])
+        self.separable = k.kind == GAUSSIAN and grid.dim == 2
+        if self.separable:
+            return
+        shape, widths = grid.shape, self.widths
+        self.halo_shape = tuple(c + 2 * w for c, w in zip(shape, widths))
+        self.crop = tuple(slice(w, w + c) for c, w in zip(shape, widths))
+        self.top = np.array(shape) + widths
+        self.step = max(1, _WINDOW_BLOCK // math.prod(widths))
+        self.axis_windows = tuple(
+            sliding_window_view(grid.lo[a] + spacing[a] * (np.arange(-w, c + w) + 0.5), w)
+            for a, (c, w) in enumerate(zip(shape, widths))
+        )
+        self.axis_shapes = tuple(
+            (-1,) + tuple(w if b == a else 1 for b, w in enumerate(widths)) for a in range(grid.dim)
+        )
+        self.strides = np.array([math.prod(self.halo_shape[a + 1 :]) for a in range(grid.dim)])
+        ramps = np.meshgrid(*(np.arange(w) for w in widths), indexing="ij")
+        self.box_flat = sum(r * st for r, st in zip(ramps, self.strides.tolist()))
+        self.padded = np.zeros(self.halo_shape)
+        self.padded_windows = sliding_window_view(self.padded, widths)
+
+
 class GridWindow:
     """The kernel stencil of a particle cloud on a QuadratureGrid.
 
@@ -277,8 +348,10 @@ class GridWindow:
     start[i, a]. The kernel is evaluated on these boxes once, at
     construction; scatter() and gather() then reuse it, so the work grows
     with N times the stencil and not with N times the grid (particle-mesh
-    layout; Hockney & Eastwood, Computer Simulation Using Particles). There
-    are two layouts:
+    layout; Hockney & Eastwood, Computer Simulation Using Particles).
+    What depends on the grid and kernel alone comes from the grid's
+    WindowLayout, shared by every window on that grid. There are two
+    layouts:
 
     - The Gaussian in d = 2 is a product of per-axis factors, the
       fast-Gauss-transform observation (Greengard & Strain, SIAM J. Sci.
@@ -289,13 +362,14 @@ class GridWindow:
       band node of each axis. scatter() and gather() are einsum
       contractions of these factors with the band of the grid, never BLAS
       products, whose summation order can change with the thread count.
-    - Every other kernel and dimension keeps the window itself: the flat
-      node index, the offsets, the value and the gradient factor of every
-      (particle, node) pair in the boxes, about 24 bytes per pair whatever
-      the size of the grid, in fixed chunks of at most _WINDOW_BLOCK pairs.
-      The indices run over the grid extended by widths[a] nodes at both
-      ends of axis a, so no box is clipped: scatter() crops that halo and
-      gather() reads zero weights on it.
+    - Every other kernel and dimension, d = 1 included, keeps the window
+      itself on the haloed grid: the box starts, the flat node index, the
+      offsets, the value and the gradient factor of every (particle, node)
+      pair in the boxes, about 24 bytes per pair whatever the size of the
+      grid, in fixed chunks of at most _WINDOW_BLOCK pairs. The offsets
+      and gather()'s weights are read as rows of the layout's sliding
+      windows at the box starts; scatter() adds the values at the flat
+      index and crops the halo.
 
     Either way the blocks and chunks are fixed by the cloud alone, so every
     summation order is too.
@@ -305,37 +379,27 @@ class GridWindow:
         pos = _positions(particles)
         if grid.dim != pos.shape[1]:
             raise ValueError("the grid dimension must match the particle dimension")
-        spacing = grid.spacing
-        radius = k.support_radius
+        layout = grid.window_layout(k)
         self.kernel = k
         self.positions = pos
         self.grid = grid
         self.shape = grid.shape
-        # one node of slack at each end absorbs rounding in the index
-        # arithmetic; entries past the support get an exact zero weight
-        self.widths = tuple(int(w) for w in np.ceil(2.0 * radius / spacing) + 4)
-        first = np.array([a[0] for a in grid.axes])
-        self.start = np.floor((pos - radius - first) / spacing).astype(np.intp) - 1
-        n, d = pos.shape
-        self._separable = k.kind == GAUSSIAN and d == 2
-        if self._separable:
+        self.widths = layout.widths
+        self._layout = layout
+        self.start = (
+            np.floor((pos - k.support_radius - layout.first) / grid.spacing).astype(np.intp) - 1
+        )
+        n = pos.shape[0]
+        if layout.separable:
             order = np.argsort(self.start[:, 0], kind="stable")
             self._parts = [
                 self._factor_block(order[s : s + _FACTOR_BLOCK]) for s in range(0, n, _FACTOR_BLOCK)
             ]
         else:
-            # a start clamped into the haloed grid puts a box that misses
-            # the grid wholly in the halo
-            self._halo_shape = tuple(c + 2 * w for c, w in zip(self.shape, self.widths))
-            self._crop = tuple(slice(w, w + c) for c, w in zip(self.shape, self.widths))
-            self._halo_axes = tuple(
-                grid.lo[a] + spacing[a] * (np.arange(-w, c + w) + 0.5)
-                for a, (c, w) in enumerate(zip(self.shape, self.widths))
-            )
-            top = np.array(self.shape) + self.widths
-            self._halo_start = np.clip(self.start + self.widths, 0, top)
-            step = max(1, _WINDOW_BLOCK // int(np.prod(self.widths)))
-            self._parts = [self._chunk(slice(s, min(s + step, n))) for s in range(0, n, step)]
+            self._halo_start = np.clip(self.start + self.widths, 0, layout.top)
+            self._parts = [
+                self._chunk(slice(s, min(s + layout.step, n))) for s in range(0, n, layout.step)
+            ]
 
     @property
     def node_count(self) -> int:
@@ -359,42 +423,44 @@ class GridWindow:
         return rows, tuple(bands), val, der
 
     def _chunk(self, rows: slice):
-        """For the particles in rows: the flat index on the haloed grid of
-        every window entry, the node-minus-particle offsets along each axis,
-        the kernel value and the gradient factor, shaped (chunk, widths...)
-        or broadcast to it. The haloed axes hold the grid's coordinates
-        bit for bit on the grid's nodes."""
+        """For the particles in rows: their box starts on the haloed grid,
+        one index array per axis; the flat haloed index of every window
+        entry; the node-minus-particle offsets along each axis; and the
+        kernel value and gradient factor, shaped (chunk, widths...) or
+        broadcast to it."""
+        layout = self._layout
         d = len(self.shape)
-        offsets = []
-        for a in range(d):
-            index = self._halo_start[rows, a, None] + np.arange(self.widths[a])
-            offset = self._halo_axes[a][index] - self.positions[rows, a, None]
-            if d > 1:
-                shape = (-1,) + tuple(self.widths[b] if b == a else 1 for b in range(d))
-                index, offset = index.reshape(shape), offset.reshape(shape)
-            flat = index if a == 0 else flat * self._halo_shape[a] + index
-            offsets.append(offset)
+        starts = self._halo_start[rows]
+        box = (-1,) + (1,) * d
+        flat = (starts @ layout.strides).reshape(box) + layout.box_flat
+        offsets = [
+            (layout.axis_windows[a][starts[:, a]] - self.positions[rows, a, None]).reshape(
+                layout.axis_shapes[a]
+            )
+            for a in range(d)
+        ]
         r2 = sup2 = offsets[0] * offsets[0]
         for off in offsets[1:]:
             sq = off * off
             r2 = r2 + sq
             sup2 = np.maximum(sup2, sq)
         val, fac = _radial_terms(self.kernel, d, r2, 1, sup2)
-        return rows, flat.ravel(), offsets, val, fac
+        return rows, tuple(starts.T), flat.ravel(), offsets, val, fac
 
     def scatter(self) -> np.ndarray:
         """(phi_eps * rho^N) at every node, shape (G,): the values of
         mollified_density(particles, k, nodes). Each node's contributions
         are added block by block, or in particle order by np.bincount."""
-        if self._separable:
+        if self._layout.separable:
             out = np.zeros(self.shape)
             for _, bands, val, _ in self._parts:
                 out[bands] += np.einsum("ia,ib->ab", *val)
         else:
-            out = np.zeros(math.prod(self._halo_shape))
-            for _, flat, _, val, _ in self._parts:
+            halo_shape = self._layout.halo_shape
+            out = np.zeros(math.prod(halo_shape))
+            for _, _, flat, _, val, _ in self._parts:
                 out += np.bincount(flat, weights=val.ravel(), minlength=out.size)
-            out = out.reshape(self._halo_shape)[self._crop]
+            out = out.reshape(halo_shape)[self._layout.crop]
         return (out / self.positions.shape[0]).ravel()
 
     def gather(self, weights) -> np.ndarray:
@@ -404,19 +470,18 @@ class GridWindow:
         if weights.shape != (self.node_count,):
             raise ValueError("gather needs one weight per grid node")
         out = np.empty(self.positions.shape)
-        if self._separable:
+        layout = self._layout
+        if layout.separable:
             grid = weights.reshape(self.shape)
             for rows, bands, val, der in self._parts:
                 band = grid[bands]
                 out[rows, 0] = np.einsum("ib,ib->i", np.einsum("ia,ab->ib", der[0], band), val[1])
                 out[rows, 1] = np.einsum("ib,ib->i", np.einsum("ia,ab->ib", val[0], band), der[1])
             return out
-        padded = np.zeros(self._halo_shape)
-        padded[self._crop] = weights.reshape(self.shape)
-        padded = padded.ravel()
-        for rows, flat, offsets, _, fac in self._parts:
+        layout.padded[layout.crop] = weights.reshape(self.shape)
+        for rows, starts, _, offsets, _, fac in self._parts:
             # grad phi(x - y) = c(|x - y|^2) (x - y), and x - y = -offset
-            scaled = fac * padded[flat].reshape(fac.shape)
+            scaled = fac * layout.padded_windows[starts]
             for a, off in enumerate(offsets):
                 out[rows, a] = -(scaled * off).reshape(len(scaled), -1).sum(axis=1)
         return out

@@ -17,6 +17,7 @@ from blobflow.convex_energy import (
     reg_derivative,
     reg_value,
     _newton_bisect,
+    _stationary,
 )
 
 HEAT = EnergyFamily.heat()
@@ -137,6 +138,20 @@ def test_newton_falls_back_to_bisection_on_infinite_and_nan_candidates():
     np.testing.assert_array_equal(seen[0], [2.0, 2.0])
     np.testing.assert_array_equal(seen[1], [3.0, 3.0])  # the midpoint of [2, 4]
     np.testing.assert_allclose(root, 2.0 + 0.5 ** (1.0 / 3.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ALL, ids=lambda f: f.kind)
+def test_prox_skips_zero_lanes_with_the_same_bits(family):
+    # zero lanes take the once-solved J_delta(0); every lane, zero or not,
+    # holds the bits of its own one-lane solve and of a solve over all lanes
+    delta = 0.3
+    a = np.array([0.0, 0.7, 0.0, 1e-9, 2.5, 0.0, 40.0, 0.0])
+    got = np.asarray(prox(family, delta, a))
+    np.testing.assert_array_equal(got, [prox(family, delta, x) for x in a])
+    if family is not HEIGHT:
+        np.testing.assert_array_equal(got, _stationary(family, 1.0, delta, a))
+    zeros = np.asarray(prox(family, delta, np.zeros(3)))
+    np.testing.assert_array_equal(zeros, np.full(3, prox(family, delta, 0.0)))
 
 
 def test_newton_names_how_many_lanes_missed():

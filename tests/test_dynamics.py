@@ -5,14 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from blobflow import convex_energy
 from blobflow.convex_energy import (
     EnergyFamily,
     RegularizedEnergy,
+    reg_derivative,
     reg_value,
 )
 from blobflow.ensemble import ParticleEnsemble, prepare_initial_particles
 from blobflow.mollifier import MollifierKernel, kernel_norms, kernel_value
-from blobflow.reference import gaussian_reference, steady_state
+from blobflow.reference import barenblatt_reference, gaussian_reference, steady_state
 from blobflow import dynamics
 from blobflow.dynamics import (
     EULER,
@@ -40,6 +42,26 @@ def heat_reg(epsilon: float) -> RegularizedEnergy:
 
 def gaussian_cloud(n: int = 64, seed: int = 0) -> ParticleEnsemble:
     return prepare_initial_particles(gaussian_reference(1, 1.0), n, seed=seed)
+
+
+def two_clusters(n: int = 40) -> ParticleEnsemble:
+    """Two clusters on [-1.2, -0.8] and [0.8, 1.2]: under a bump kernel of
+    eps 0.1 the grid nodes between them and beyond both leave no mass."""
+    half = n // 2
+    x = np.concatenate([np.linspace(-1.2, -0.8, half), np.linspace(0.8, 1.2, n - half)])
+    return ParticleEnsemble(x[:, None], time=0.0, seed=0)
+
+
+FIELD_FAMILIES = pytest.mark.parametrize(
+    "family",
+    [
+        EnergyFamily.heat(),
+        EnergyFamily.porous_medium(2.0),
+        EnergyFamily.fast_diffusion(0.5),
+        EnergyFamily.height_constraint(),
+    ],
+    ids=lambda f: f.kind,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +154,59 @@ def test_zeta_is_the_convex_conjugate():
     for g in idx:
         dense = float(np.max(a * f.q[g] - fa))
         assert f.zeta[g] == pytest.approx(dense, abs=1e-7)
+
+
+@FIELD_FAMILIES
+def test_fields_derive_from_the_stage_prox_point_with_the_same_bits(family):
+    # q, f_reg(mu) and zeta all come from the stage's one prox solve, which
+    # skipped the empty nodes; each equals a fresh evaluation at mu
+    reg = RegularizedEnergy(family, 0.3)
+    k = MollifierKernel.bump(0.1, dimension=1)
+    e = two_clusters()
+    grid = build_grid(e, 0.1)
+    f = compute_fields(e, reg, k, grid)
+    nodes = grid.axes[0]
+    empty = f.mu == 0.0
+    assert empty[np.abs(nodes) < 0.6].all() and empty[0] and empty[-1]
+    assert not empty.all()
+    f_mu = np.asarray(reg_value(reg, f.mu))
+    np.testing.assert_array_equal(f.q, reg_derivative(reg, f.mu))
+    assert energy_F_eps(f) == float(np.sum(f_mu) * grid.cell)
+    np.testing.assert_array_equal(f.zeta, np.maximum(f.mu * f.q - f_mu, 0.0))
+    assert np.all(f.q[empty] == reg.derivative_at_zero)
+    assert np.all(f.f_reg[empty] == 0.0)
+
+
+@FIELD_FAMILIES
+def test_one_prox_solve_per_stage_and_none_per_record(family, monkeypatch):
+    reg = RegularizedEnergy(family, 0.3)
+    # the one J_delta(0) solve happens here, before the count starts
+    _ = reg.moreau_zero, reg.derivative_at_zero
+    calls = {"solve": 0, "stage": 0}
+    solve, fields = convex_energy._newton_bisect, dynamics.compute_fields
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_fields(*args, **kwargs):
+        calls["stage"] += 1
+        return fields(*args, **kwargs)
+
+    monkeypatch.setattr(convex_energy, "_newton_bisect", counted_solve)
+    monkeypatch.setattr(dynamics, "compute_fields", counted_fields)
+    spec = RunSpec(
+        reg=reg,
+        kernel=MollifierKernel.bump(0.1, dimension=1),
+        velocity=VelocityConfig.none(),
+        initial=two_clusters(),
+        t_final=0.004,
+        dt=0.001,
+    )
+    assert len(run(spec).records) == 5
+    assert calls["stage"] == 1 + 4 * 4
+    newton = family.kind != "height_constraint"
+    assert calls["solve"] == (calls["stage"] if newton else 0)
 
 
 def test_gradient_sandwich_q_versus_mu():
@@ -405,25 +480,39 @@ def test_grid_follows_a_drifting_cloud():
     assert moved == pytest.approx(3.0, abs=0.05)
 
 
-def test_run_is_bitwise_deterministic():
-    def make():
-        reg = heat_reg(0.2)
-        k = MollifierKernel.gaussian(0.2, dimension=1)
-        return RunSpec(
-            reg=reg,
-            kernel=k,
-            velocity=VelocityConfig.quadratic(),
-            initial=gaussian_cloud(32, seed=5),
-            t_final=0.05,
-            dt=0.005,
-        )
-
-    a, b = run(make()), run(make())
-    np.testing.assert_array_equal(
-        a.final.positions, b.final.positions
+def _heat_spec() -> RunSpec:
+    return RunSpec(
+        reg=heat_reg(0.2),
+        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        velocity=VelocityConfig.quadratic(),
+        initial=gaussian_cloud(32, seed=5),
+        t_final=0.05,
+        dt=0.005,
     )
-    assert [r.f_eps for r in a.records] == [r.f_eps for r in b.records]
-    assert [r.diss_residual for r in a.records] == [r.diss_residual for r in b.records]
+
+
+def _fast_diffusion_spec() -> RunSpec:
+    # a heavy-tailed Barenblatt start leaves nodes with no mass between
+    # its outer particles
+    eps = 0.05
+    return RunSpec(
+        reg=RegularizedEnergy(EnergyFamily.fast_diffusion(0.5), eps**0.5),
+        kernel=MollifierKernel.gaussian(eps, dimension=1),
+        velocity=VelocityConfig.none(),
+        initial=prepare_initial_particles(barenblatt_reference(0.5, 1, 0.5), 64, seed=0),
+        t_final=0.005,
+        dt=0.001,
+    )
+
+
+def test_run_is_bitwise_deterministic():
+    spec = _fast_diffusion_spec()
+    assert np.any(make_state(spec, spec.initial).fields.mu == 0.0)
+    for make in (_heat_spec, _fast_diffusion_spec):
+        a, b = run(make()), run(make())
+        np.testing.assert_array_equal(a.final.positions, b.final.positions)
+        assert [r.f_eps for r in a.records] == [r.f_eps for r in b.records]
+        assert [r.diss_residual for r in a.records] == [r.diss_residual for r in b.records]
 
 
 def test_trajectory_keeps_records_and_only_the_last_cloud():

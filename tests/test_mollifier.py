@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from math import gamma
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from blobflow.ensemble import ParticleEnsemble
 from blobflow.mollifier import (
+    _amplitude,
     GridWindow,
     MollifierKernel,
     QuadratureGrid,
@@ -173,6 +176,41 @@ def test_gaussian_support_is_the_cube_in_2d():
     np.testing.assert_array_equal(kernel_gradient(k, outside), 0.0)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bump"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_at_the_edge_inf_and_nan_matches_the_select_form(kind, d):
+    # the profile zeroes the outside of the support in place; it must give
+    # the bits of the select np.where(inside, v, 0.0), which sends NaN to 0
+    eps = 0.2
+    if kind == "gaussian":
+        k = MollifierKernel.gaussian(eps, dimension=d)
+    else:
+        k = MollifierKernel.bump(eps, dimension=d)
+    rad = k.support_radius
+    coords = [0.0, 0.5 * rad, rad, -rad, np.nextafter(rad, 0.0), np.nextafter(rad, np.inf)]
+    coords += [np.inf, -np.inf, np.nan]
+    x = np.array(list(itertools.product(coords, repeat=d)))
+    r2 = np.einsum("ij,ij->i", x, x)
+    amp, eps2 = _amplitude(k, d), eps * eps
+    with np.errstate(invalid="ignore"):
+        if kind == "gaussian":
+            val = np.where((x * x).max(axis=1) <= rad * rad, amp * np.exp(-0.5 * r2 / eps2), 0.0)
+            fac = -val / eps2
+        else:
+            q, u2 = k.order, r2 / eps2
+            core = np.where(u2 < 1.0, 1.0 - u2, 0.0)
+            val, fac = amp * core**q, amp * q * core ** (q - 1) * (-2.0 / eps2)
+        grad = x * fac[:, None]
+        assert _same_bits(kernel_value(k, x), val)
+        assert _same_bits(kernel_gradient(k, x), grad)
+    assert np.all(val[np.isnan(r2)] == 0.0) and np.any(val > 0.0)
+
+
 def test_bump_order_floor():
     with pytest.raises(ValueError):
         MollifierKernel.bump(0.2, dimension=1, order=2)
@@ -287,6 +325,40 @@ def test_window_blocks_case_covers_the_block_loop():
         if band.start == 0 or band.stop == window.shape[a]
     ]
     assert set(clipped) == {0, 1}
+
+
+@pytest.mark.parametrize("kind, d", [("gaussian", 1), ("bump", 2)], ids=["1-gaussian", "2-bump"])
+def test_window_layout_never_crosses_grids(kind, d):
+    # windows share the layout of their grid and kernel; two clouds on one
+    # grid in either order, a grid of the same shape shifted by half a cell
+    # and a wider kernel on the shared grid must each give the bits of a
+    # window on a freshly built equal grid
+    k, grid, _, pos = _window_case(kind, d)
+    wide = dataclasses.replace(k, epsilon=1.5 * k.epsilon)
+    clouds = [pos, 0.8 * pos[::-1] + 0.05]
+    half = 0.5 * grid.spacing
+    weights = np.random.default_rng(4).normal(size=grid.node_count)
+
+    def outputs(window):
+        return window.scatter(), window.gather(weights)
+
+    def fresh(kernel, cloud, shift):
+        equal = QuadratureGrid(grid.lo + shift, grid.hi + shift, grid.shape)
+        return outputs(GridWindow(kernel, cloud, equal))
+
+    for order in (clouds, clouds[::-1]):
+        shared = QuadratureGrid(grid.lo, grid.hi, grid.shape)
+        shifted = QuadratureGrid(grid.lo + half, grid.hi + half, grid.shape)
+        cases = [(k, c, 0.0, shared) for c in order] + [(k, c, half, shifted) for c in order]
+        cases += [(wide, c, 0.0, shared) for c in order]
+        windows = [GridWindow(kernel, c, g) for kernel, c, _, g in cases]
+        assert windows[0]._layout is windows[1]._layout
+        assert windows[2]._layout is not windows[0]._layout
+        assert windows[4]._layout is not windows[0]._layout
+        # every window is built before any is read
+        for window, (kernel, c, shift, _) in zip(windows, cases):
+            for got, want in zip(outputs(window), fresh(kernel, c, shift)):
+                assert _same_bits(got, want)
 
 
 def test_window_rejects_mismatched_inputs():
