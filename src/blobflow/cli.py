@@ -76,7 +76,6 @@ CONFIG_KEYS = (
     Key("particles", "n", "n_particles", int, REQUIRED, ge=1),
     Key("particles", "seed", "seed", int, 0, ge=0),
     Key("particles", "init", "init_mode", INIT_MODES, "quantile"),
-    Key("particles", "alpha", "init_alpha", float, 0.0, ge=0.0),
     Key("velocity", "kind", "velocity_kind", VELOCITY_KINDS, "none"),
     Key("initial", "kind", "initial_kind", INITIAL_KINDS, "gaussian"),
     Key("initial", "t0", "initial_t0", float, 0.05, gt=0.0),
@@ -346,11 +345,7 @@ def build_runspec(cfg: SimConfig, epsilon: float):
     schedule = DeltaSchedule(cfg.beta, kernel.effective_r, cfg.dimension)
     reg = RegularizedEnergy(family=family, delta=schedule.delta_of(epsilon))
     initial = prepare_initial_particles(
-        _initial_density(cfg),
-        cfg.n_particles,
-        seed=cfg.seed,
-        mode=cfg.init_mode,
-        alpha=cfg.init_alpha,
+        _initial_density(cfg), cfg.n_particles, seed=cfg.seed, mode=cfg.init_mode
     )
     return dyn.RunSpec(
         reg=reg,

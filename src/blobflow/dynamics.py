@@ -156,6 +156,14 @@ def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.nd
     return window.gather((fields.q - fields.reg.derivative_at_zero) * fields.grid.cell)
 
 
+def _central_differences(fn, points: np.ndarray, h: float):
+    """Per axis ax in order: (fn(points + h e_ax) - fn(points - h e_ax)) / 2h."""
+    for ax in range(points.shape[1]):
+        shift = np.zeros(points.shape[1])
+        shift[ax] = h
+        yield (np.asarray(fn(points + shift)) - np.asarray(fn(points - shift))) / (2.0 * h)
+
+
 @dataclass(frozen=True)
 class VelocityConfig:
     """Autonomous drift v(x): none (neither callable set), the gradient of a
@@ -190,15 +198,7 @@ class VelocityConfig:
         return np.zeros_like(points)
 
     def _fd_gradient(self, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        out = np.empty_like(points)
-        for ax in range(points.shape[1]):
-            shift = np.zeros(points.shape[1])
-            shift[ax] = h
-            out[:, ax] = (
-                np.asarray(self.potential(points + shift))
-                - np.asarray(self.potential(points - shift))
-            ) / (2.0 * h)
-        return out
+        return np.stack(list(_central_differences(self.potential, points, h)), axis=1)
 
     def validate_gradient(self, probes: np.ndarray, rtol: float = 1e-5) -> None:
         """For explicit gradients, check them against finite differences."""
@@ -219,12 +219,7 @@ class VelocityConfig:
         Jacobian. A non-finite drift value or difference stays non-finite."""
         speed = np.linalg.norm(self.evaluate(probes), axis=1)
         slope = np.zeros(probes.shape[0])
-        for ax in range(probes.shape[1]):
-            shift = np.zeros(probes.shape[1])
-            shift[ax] = h
-            col = (self.evaluate(probes + shift) - self.evaluate(probes - shift)) / (
-                2.0 * h
-            )
+        for col in _central_differences(self.evaluate, probes, h):
             slope = np.maximum(slope, np.abs(col).max(axis=1, initial=0.0))
         return speed, slope
 

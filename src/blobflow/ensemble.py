@@ -58,6 +58,9 @@ class ParticleEnsemble:
             raise ValueError("positions must be finite")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        # plain Python numbers, so that a snapshot header reads them back
+        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n(self) -> int:
@@ -78,10 +81,11 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class ReferenceDensity:
-    """A probability density on a box, with an optional closed-form CDF (d=1).
+    """A probability density on a box, with a CDF in d=1.
 
     pdf maps (n, d) points to (n,) values; cdf maps (n,) abscissae to (n,)
-    in one dimension. box = (lo, hi) arrays of length d and should capture
+    in one dimension, and a d=1 density given without one gets numeric_cdf(),
+    tabulated once here. box = (lo, hi) arrays of length d and should capture
     essentially all of the mass; metrics integrate over it.
     """
 
@@ -99,6 +103,8 @@ class ReferenceDensity:
         if not (hi > lo).all():
             raise ValueError("box must have positive extent")
         object.__setattr__(self, "box", (lo, hi))
+        if self.dim == 1 and self.cdf is None:
+            object.__setattr__(self, "cdf", self.numeric_cdf())
 
     def numeric_cdf(self, resolution: int = 8192) -> Callable[[np.ndarray], np.ndarray]:
         """Tabulated CDF from the pdf (d=1): cumulative trapezoid + interp."""
@@ -133,62 +139,26 @@ def quantiles_from_cdf(cdf, lo: float, hi: float, u: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _smoothed_target_1d(target: ReferenceDensity, alpha: float) -> ReferenceDensity:
-    """Convolve a 1d target with a Gaussian of width alpha (tabulated)."""
-    lo, hi = target.box
-    pad = 6.0 * alpha
-    n = 8192
-    xs = np.linspace(lo[0] - pad, hi[0] + pad, n)
-    h = xs[1] - xs[0]
-    vals = target.pdf(xs[:, None])
-    half = int(np.ceil(pad / h))
-    ker_x = np.arange(-half, half + 1) * h
-    ker = np.exp(-0.5 * (ker_x / alpha) ** 2)
-    ker /= ker.sum()
-    sm = np.convolve(vals, ker, mode="same")
-    steps = 0.5 * h * (sm[1:] + sm[:-1])
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
-    cum /= max(cum[-1], 1e-300)
-
-    def pdf(pts):
-        return np.interp(np.asarray(pts, dtype=float)[:, 0], xs, sm, left=0.0, right=0.0)
-
-    def cdf(x):
-        return np.interp(np.asarray(x, dtype=float), xs, cum, left=0.0, right=1.0)
-
-    return ReferenceDensity(
-        name=f"{target.name}+smooth({alpha})",
-        dim=1,
-        pdf=pdf,
-        box=(xs[:1], xs[-1:]),
-        cdf=cdf,
-    )
-
-
 def prepare_initial_particles(
     target: ReferenceDensity,
     n: int,
     seed: int = 0,
     mode: str = QUANTILE,
-    alpha: float = 0.0,
 ) -> ParticleEnsemble:
     """Deterministic initial cloud for a target density.
 
     quantile: particle i sits at the (i - 1/2)/n quantile (d=1 only).
     rejection: seeded rejection sampling from the uniform proposal on the
     target's box; stalls raise RejectionStallError.
-    alpha > 0 pre-smooths the target by a Gaussian of that width.
     """
     if n < 1:
         raise ValueError("need at least one particle")
     if mode == QUANTILE:
         if target.dim != 1:
             raise ValueError("quantile initialization needs a one-dimensional target")
-        work = _smoothed_target_1d(target, alpha) if alpha > 0.0 else target
-        cdf = work.cdf if work.cdf is not None else work.numeric_cdf()
-        lo, hi = work.box
+        lo, hi = target.box
         u = (np.arange(n) + 0.5) / n
-        xs = quantiles_from_cdf(cdf, lo[0], hi[0], u)
+        xs = quantiles_from_cdf(target.cdf, lo[0], hi[0], u)
         return ParticleEnsemble(xs[:, None], time=0.0, seed=seed)
     if mode == REJECTION:
         rng = np.random.default_rng(seed)
@@ -214,8 +184,6 @@ def prepare_initial_particles(
                     f"accepted {got} of {proposed} proposals; "
                     "check the target/box pairing"
                 )
-        if alpha > 0.0:
-            out = out + rng.normal(scale=alpha, size=out.shape)
         return ParticleEnsemble(out, time=0.0, seed=seed)
     raise ValueError(f"unknown initialization mode {mode!r}")
 
@@ -247,8 +215,7 @@ def w1_vs_density(
         hi = max(float(ref.box[1][0]), xs_sorted[-1]) + 1e-9
         grid = np.linspace(lo, hi, resolution)
         f_emp = np.searchsorted(xs_sorted, grid, side="right") / e.n
-        cdf = ref.cdf if ref.cdf is not None else ref.numeric_cdf()
-        f_ref = np.asarray(cdf(grid))
+        f_ref = np.asarray(ref.cdf(grid))
         return float(np.trapezoid(np.abs(f_emp - f_ref), grid))
     if ref.dim == 2:
         return _sinkhorn_w1_2d(e, ref, resolution)

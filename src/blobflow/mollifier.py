@@ -36,7 +36,8 @@ _WINDOW_BLOCK = 2**17
 # particles per block of the separable (per-axis factor) path
 _FACTOR_BLOCK = 64
 
-# Gauss-Legendre rule on [-1, 1] for the panels of kernel_norms
+# Gauss-Legendre rule on [-1, 1] for the panels of kernel_norms and
+# convex_energy.h1_density_quadrature
 _PANEL_NODES, _PANEL_WEIGHTS = leggauss(40)
 
 

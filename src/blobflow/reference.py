@@ -324,11 +324,5 @@ def steady_state(
             rho = base_conjugate_prime(family, z - np.asarray(potential(query)))
         return np.where(np.isfinite(rho), rho, 0.0)
 
-    ref = ReferenceDensity(
-        name=f"steady({family.kind})", dim=d, pdf=pdf, box=(lo, hi), cdf=None
-    )
-    if d == 1:
-        ref = ReferenceDensity(
-            name=ref.name, dim=1, pdf=pdf, box=(lo, hi), cdf=ref.numeric_cdf()
-        )
+    ref = ReferenceDensity(name=f"steady({family.kind})", dim=d, pdf=pdf, box=(lo, hi))
     return SteadyState(z=z, reference=ref)

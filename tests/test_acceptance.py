@@ -288,8 +288,7 @@ def _regularized_equilibrium(reg, resolution):
         return np.asarray(reg_conjugate_derivative(reg, z - v))
 
     box = (np.array([lo]), np.array([hi]))
-    ref = ReferenceDensity(f"rho_delta(delta={reg.delta:.3g})", 1, pdf, box)
-    return ReferenceDensity(ref.name, 1, pdf, box, ref.numeric_cdf())
+    return ReferenceDensity(f"rho_delta(delta={reg.delta:.3g})", 1, pdf, box)
 
 
 def _regularized_heat_flow(reg, t0, t_final, cells=400, half_width=4.0):

@@ -83,7 +83,6 @@ def test_parse_serialize_round_trip_all_fields():
             "n = 100",
             "seed = 7",
             "init = rejection",
-            "alpha = 0.02",
             "[velocity]",
             "kind = quadratic",
             "[initial]",
@@ -590,7 +589,7 @@ FLOW = "epsilon = 0.2\nbeta = 0.5\nt_final = 0.02\ndt = 0.002"
         ({"particles": "n = 2.5"}, "[particles] n = '2.5' is not an integer"),
         ({"flow": "epsilon = 0.2\nt_final = x"}, "[flow] t_final = 'x' is not a number"),
         ({"flow": "epsilon = 0.2\nbeta = 0\nt_final = 0.02"}, "[flow] beta must be > 0.0, got 0.0"),
-        ({"particles": "n = 24\nalpha = -1"}, "[particles] alpha must be >= 0.0, got -1.0"),
+        ({"particles": "n = 24\nalpha = 0.0"}, "unknown key 'alpha' in section [particles]"),
         ({"flow": FLOW + "\nrecord_every = 0"}, "[flow] record_every must be >= 1, got 0"),
         ({"grid": "node_budget = 999"}, "[grid] node_budget must be >= 1000, got 999"),
         ({"flow": FLOW + "\nscheme = leapfrog"}, "[flow] scheme = 'leapfrog'; expected one of rk4, euler"),
@@ -620,10 +619,10 @@ def test_first_error_message_for_a_bad_value(overrides, first_message):
 @pytest.mark.parametrize(
     "name, sha256",
     [
-        ("heat_convergence", "2737e2b23d6cf3ecf0171cdfdadf3f8cf724fa68a845760f491e1af9a64240f1"),
-        ("height_saturation", "7aa5b752edcf1d636ce4edb59fa33aa59f2518051adad21e113c4040dd3ef5eb"),
-        ("pme_convergence", "e2d585da8ff565271d10e0e2a46fa5776026da79eacf3839ad73723297732e2a"),
-        ("sample_gaussian", "da6132f229520fd7e65e49cf08e9eeed127515e60463b36dc809a06b181dfb3e"),
+        ("heat_convergence", "7dfa940f41f594206fea8f749ec4921256f954e8d077647344cb6e76da857d28"),
+        ("height_saturation", "f48a6c5fed80b2e42ece04f35bbed7fa98b35c8e8681a557e4f3ab4f9ba1cf49"),
+        ("pme_convergence", "e868029928c2053bda0def2b72a13a5c9d8ab248a201c6f2be3003f0a6ca9e9e"),
+        ("sample_gaussian", "d0440f01a1ae1d2331b08dc2ab4305ca71591d844e71769b49373566db7893e0"),
     ],
 )
 def test_bundled_config_hashes_are_pinned(name, sha256):
@@ -702,6 +701,18 @@ def test_importing_the_package_loads_no_scipy():
     script = (
         "import sys\n"
         "from blobflow import cli, convex_energy, dynamics, ensemble, mollifier, reference\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    )
+    assert _modules_loaded_by(script) == set()
+    # the e-density quadrature is numpy alone, on every family and domain edge
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from blobflow.convex_energy import EnergyFamily, h1_density_quadrature\n"
+        "a = np.array([-1.0, 0.0, 0.5, 2.0])\n"
+        "for fam in (EnergyFamily.heat(), EnergyFamily.porous_medium(2.0),\n"
+        "            EnergyFamily.fast_diffusion(0.5), EnergyFamily.height_constraint()):\n"
+        "    h1_density_quadrature(fam, a)\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']"
     )
     assert _modules_loaded_by(script) == set()

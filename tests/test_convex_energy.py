@@ -152,6 +152,12 @@ def test_prox_skips_zero_lanes_with_the_same_bits(family):
         np.testing.assert_array_equal(got, _stationary(family, 1.0, delta, a))
     zeros = np.asarray(prox(family, delta, np.zeros(3)))
     np.testing.assert_array_equal(zeros, np.full(3, prox(family, delta, 0.0)))
+    # an input without zero lanes takes the same path, with the same bits
+    full = a[a != 0.0]
+    got = np.asarray(prox(family, delta, full))
+    np.testing.assert_array_equal(got, [prox(family, delta, x) for x in full])
+    if family is not HEIGHT:
+        np.testing.assert_array_equal(got, _stationary(family, 1.0, delta, full))
 
 
 def test_newton_names_how_many_lanes_missed():
