@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, make_dataclass, replace
@@ -479,6 +480,9 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
 
 
 def _write_summary(out_dir: str, summary: dict) -> None:
+    """Write summary.json, with the process's peak resident set so far as
+    peak_rss_mib (ru_maxrss is in KiB on Linux)."""
+    summary["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

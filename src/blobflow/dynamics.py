@@ -2,10 +2,12 @@
 
 Particles move by x_i' = -grad p(x_i) - v(x_i) where p = phi_eps * q,
 q = f_reg'(mu), mu = phi_eps * (particle empirical measure). Convolutions are
-evaluated by midpoint quadrature on a tensor grid that tracks the cloud;
-only mu, the prox point of mu and q are rebuilt at every integrator stage,
-and the node gradients, f_reg(mu) and zeta are derived from them when a
-diagnostic reads them. Diagnostics per record:
+evaluated by midpoint quadrature on a tensor grid that tracks the cloud.
+Each array of a stage lives only as long as something reads it: a stage
+keeps mu, the prox point of mu and q; the particle window that scattered mu
+goes once the stage has gathered grad p through it; and the node gradients,
+f_reg(mu) and zeta are computed from mu, j and q at each read, never kept.
+Diagnostics per record:
 energy, mollified entropy, second moment, dissipation residual, cross-term
 sign, stability constant, and optional W1-to-reference. The mollifier-exchange
 residual is a function of one cloud (exchange_residual), not a per-record
@@ -19,8 +21,7 @@ trajectories regardless of thread settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,15 +58,21 @@ def build_grid(
     if not 0.0 < spacing_fraction <= 1.0:
         raise ValueError("spacing_fraction must lie in (0, 1]")
     pos = _positions(e)
-    lo = pos.min(axis=0) - padding * epsilon
-    hi = pos.max(axis=0) + padding * epsilon
     target = spacing_fraction * epsilon
-    counts = np.maximum(np.ceil((hi - lo) / target).astype(int), 4)
-    total = int(np.prod(counts.astype(np.int64)))
+    # a box or cell count past the largest double is caught below as inf
+    with np.errstate(over="ignore"):
+        lo = pos.min(axis=0) - padding * epsilon
+        hi = pos.max(axis=0) + padding * epsilon
+        cells = (hi - lo) / target
+    box = f"spacing <= {target:.4g} on box {lo.tolist()} .. {hi.tolist()}"
+    if not np.isfinite(cells).all():
+        raise GridBudgetError(f"grid node count is not finite for {box}")
+    # Python ints: a numpy cast or product of huge counts wraps silently
+    counts = tuple(max(math.ceil(c), 4) for c in cells.tolist())
+    total = math.prod(counts)
     if total > node_budget:
         raise GridBudgetError(
-            f"grid would need {total} nodes (counts {tuple(counts.tolist())}) for "
-            f"spacing <= {target:.4g} on box {lo.tolist()} .. {hi.tolist()}, "
+            f"grid would need {total} nodes (counts {counts}) for {box}, "
             f"exceeding the budget of {node_budget}"
         )
     return QuadratureGrid(lo, hi, counts)
@@ -74,24 +81,27 @@ def build_grid(
 @dataclass(frozen=True)
 class FieldSnapshot:
     """mu, its prox point j = J_delta(mu) and q = f_reg'(mu) on a quadrature
-    grid, with the energy they were built with and the particle window that
-    scattered mu, for the gather at the same cloud. The stage solves the
-    prox once. f_reg(mu) is computed from j at each read, with no second
-    solve; zeta = f_reg*(q) and the node gradients are computed on first
-    access and cached."""
+    grid, with the energy they were built with. The stage solves the prox
+    once. f_reg(mu), zeta = f_reg*(q) and the node gradients are computed
+    from these at each read, with no second solve, and are not kept.
+
+    window is the particle window that scattered mu, for the gather at the
+    same cloud; compute_fields sets it, and an integrator stage drops it
+    once it has gathered, so the snapshot a SimState holds has none and a
+    later gather builds its own."""
 
     grid: QuadratureGrid
     reg: RegularizedEnergy
     mu: np.ndarray
     j: np.ndarray
     q: np.ndarray
-    window: GridWindow
+    window: Optional[GridWindow]
 
-    @cached_property
+    @property
     def grad_mu(self) -> np.ndarray:
         return _node_gradients(self.grid, self.mu)
 
-    @cached_property
+    @property
     def grad_q(self) -> np.ndarray:
         return _node_gradients(self.grid, self.q)
 
@@ -99,7 +109,7 @@ class FieldSnapshot:
     def f_reg(self) -> np.ndarray:
         return np.asarray(reg_value(self.reg, self.mu, self.j))
 
-    @cached_property
+    @property
     def zeta(self) -> np.ndarray:
         # Fenchel-Young equality at the maximizer: f*(f'(mu)) = mu q - f(mu)
         return np.maximum(self.mu * self.q - self.f_reg, 0.0)
@@ -124,7 +134,8 @@ def compute_fields(
 
     mu is scattered through the cloud's window on the grid; its values are
     those of mollified_density(e, k, grid.nodes). The one prox solve of the
-    stage runs inside reg_derivative, which writes its prox point to j.
+    stage runs inside reg_derivative, which writes its prox point to j. The
+    snapshot carries the window for pressure_gradient_at at the same cloud.
     """
     window = GridWindow(k, e, grid)
     mu = window.scatter()
@@ -139,8 +150,9 @@ def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.nd
     The ambient level q(0-density) is subtracted before summation: constants
     do not contribute to grad(phi * q) in the continuum, and removing them
     keeps the truncated grid sum exact near the box edge. Each query point
-    sums over its kernel window only; at the cloud the fields were built
-    from, the window of the scatter is reused.
+    sums over its kernel window only. At the cloud the fields were built
+    from, the snapshot's window is reused while it still has one; otherwise
+    the window is built here, with the same bits.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != fields.grid.dim:
@@ -151,7 +163,7 @@ def pressure_gradient_at(fields: FieldSnapshot, k: MollifierKernel, xs) -> np.nd
         )[0]
         raise ValueError(f"query points outside the grid box at indices {bad[:8].tolist()}")
     window = fields.window
-    if window.kernel != k or not np.array_equal(window.positions, xs):
+    if window is None or window.kernel != k or not np.array_equal(window.positions, xs):
         window = GridWindow(k, xs, fields.grid)
     return window.gather((fields.q - fields.reg.derivative_at_zero) * fields.grid.cell)
 
@@ -394,7 +406,8 @@ class Trajectory:
 
 def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
     """(fields, grad p) at one integrator stage. The grid is kept unless any
-    particle enters the 2-eps shell at its edge."""
+    particle enters the 2-eps shell at its edge. The fields come back
+    without their window: nothing reads it after the gather."""
     if grid is None or not grid.covers(positions, slack=2.0 * spec.kernel.epsilon):
         grid = build_grid(
             positions,
@@ -404,7 +417,8 @@ def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid])
             node_budget=spec.grid_node_budget,
         )
     fields = compute_fields(positions, spec.reg, spec.kernel, grid)
-    return fields, pressure_gradient_at(fields, spec.kernel, positions)
+    gp = pressure_gradient_at(fields, spec.kernel, positions)
+    return replace(fields, window=None), gp
 
 
 def _velocity(spec: RunSpec, positions: np.ndarray, pressure_grad: np.ndarray) -> np.ndarray:
@@ -428,7 +442,9 @@ def step(state: SimState, dt: float) -> SimState:
     """Advance every particle by one explicit step of the spec's scheme.
 
     Stage fields are recomputed at each stage position; the grid follows the
-    cloud whenever it drifts into the boundary shell.
+    cloud whenever it drifts into the boundary shell. Of an inner RK4
+    stage only grad p and the grid are read, so its fields are let go
+    before the next stage builds its own.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -445,6 +461,7 @@ def step(state: SimState, dt: float) -> SimState:
             x = x0 + offset * dt * v
             fields, gp = _stage(spec, x, grid)
             grid = fields.grid
+            del fields
             v = _velocity(spec, x, gp)
             total = total + weight * v
         x_new = x0 + dt / 6.0 * total

@@ -233,10 +233,17 @@ def _grid_atoms_2d(ref: ReferenceDensity, per_axis: int):
 
 
 def _distances(xa, xb):
-    """|x_i - y_j| for every pair of atoms, as an (N, M) array."""
-    # summed axis by axis: the bits of summing the squares over the last axis
-    # of an (N, M, d) difference array, without building that array
-    cost = sum(np.subtract.outer(xa[:, ax], xb[:, ax]) ** 2 for ax in range(xa.shape[1]))
+    """|x_i - y_j| for every pair of atoms, as an (N, M) array.
+
+    The squared differences are added in place, axis by axis in axis order,
+    into the one (N, M) array returned, through one (N, M) scratch array:
+    the bits of summing the squares over the last axis of an (N, M, d)
+    difference array, without building that array or a new sum per axis."""
+    cost = np.zeros((len(xa), len(xb)))
+    diff = np.empty_like(cost)
+    for ax in range(xa.shape[1]):
+        np.subtract.outer(xa[:, ax], xb[:, ax], out=diff)
+        cost += np.square(diff, out=diff)
     return np.sqrt(cost, out=cost)
 
 

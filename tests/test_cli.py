@@ -289,6 +289,7 @@ def test_runtime_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert "GridBudgetError" in summary["error"]
     assert "8196 nodes (counts (8196,))" in summary["error"]
+    assert summary["peak_rss_mib"] > 0.0
 
 
 def test_setup_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
@@ -408,6 +409,7 @@ def test_summary_embeds_the_config_hash(run_outputs):
     assert summary["config_sha256"] == config_hash(parse_config_text(text))
     assert summary["config"]["family"]["kind"] == "heat"
     assert summary["final"]["t"] == pytest.approx(0.02)
+    assert isinstance(summary["peak_rss_mib"], float) and summary["peak_rss_mib"] > 0.0
     assert set(summary["outputs"]) == {
         "diagnostics.csv",
         "snapshot_initial.csv",

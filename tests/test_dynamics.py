@@ -112,6 +112,23 @@ def test_build_grid_budget_error_names_the_numbers():
         build_grid(pts, 0.01, node_budget=1000)
 
 
+@pytest.mark.parametrize(
+    "points, epsilon",
+    [
+        # d = 1: 4e20 cells, past every fixed-width integer
+        (np.array([[0.0], [1e17]]), 1e-3),
+        # d = 2: 4e9 cells per axis, 1.6e19 nodes, past int64
+        (np.array([[0.0, 0.0], [1e6, 1e6]]), 1e-3),
+        # a box wider than the largest double has no node count
+        (np.array([[-1e308], [1e308]]), 0.1),
+    ],
+    ids=["1d", "2d", "inf"],
+)
+def test_build_grid_counts_nodes_without_wrapping(points, epsilon):
+    with pytest.raises(GridBudgetError):
+        build_grid(points, epsilon)
+
+
 def test_grid_covers_and_interior():
     g = build_grid(np.array([[-1.0], [1.0]]), 0.2, padding=5.0)
     assert g.covers(np.array([[0.0], [1.9]]))
@@ -259,6 +276,28 @@ def test_pressure_gradient_matches_finite_differences():
     for i, x in enumerate(xs):
         fd = (scalar_p(x + h) - scalar_p(x - h)) / (2.0 * h)
         assert got[i, 0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind, d", [("gaussian", 1), ("gaussian", 2), ("bump", 2)])
+def test_a_released_window_is_rebuilt_with_the_same_bits(kind, d):
+    # a stage lets its window go after the gather; a later gather at the
+    # same cloud builds it again and must give the stage's grad p bit for bit
+    init = ParticleEnsemble(np.random.default_rng(d).normal(size=(48, d)))
+    if kind == "gaussian":
+        k = MollifierKernel.gaussian(0.2, dimension=d)
+    else:
+        k = MollifierKernel.bump(0.3, dimension=d)
+    spec = RunSpec(
+        reg=heat_reg(0.2), kernel=k, velocity=VelocityConfig.none(), initial=init, t_final=0.01
+    )
+    state = make_state(spec, init)
+    assert state.fields.window is None
+    rebuilt = pressure_gradient_at(state.fields, k, init.positions)
+    fields = compute_fields(init, spec.reg, k, state.fields.grid)
+    assert fields.window is not None
+    reused = pressure_gradient_at(fields, k, init.positions)
+    assert np.array_equal(rebuilt, state.pressure_grad)
+    assert np.array_equal(reused, state.pressure_grad)
 
 
 def test_pressure_gradient_rejects_outside_queries():

@@ -13,6 +13,7 @@ from blobflow.ensemble import (
     ReferenceDensity,
     RejectionStallError,
     ABSORB_LOG,
+    _distances,
     _entropic_cost,
     _grid_atoms_2d,
     _self_cost,
@@ -222,6 +223,19 @@ def test_self_cost_matches_two_sided_sinkhorn_run_long():
     assert 500 < plain_used < 20000
     assert used < 100
     assert ours == pytest.approx(plain, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distances_add_squares_in_place_with_the_bits_of_a_sum(d):
+    rng = np.random.default_rng(d)
+    xa, xb = rng.normal(size=(37, d)), rng.normal(size=(29, d))
+    xb[:5] = xa[:5]  # coincident points
+    for x, y in ((xa, xb), (xa, xa)):
+        old = np.sqrt(sum(np.subtract.outer(x[:, ax], y[:, ax]) ** 2 for ax in range(d)))
+        new = _distances(x, y)
+        assert new.shape == (len(x), len(y))
+        assert np.array_equal(new, old)
+        assert np.all(new[range(5), range(5)] == 0.0)
 
 
 def test_entropic_cost_absorbs_scalings_past_overflow():

@@ -6,16 +6,19 @@ RK4 steps). Its diagnostics.csv and snapshot_final.csv were frozen by
 write_golden() into tests/data/golden/<case>/, and a rerun must match
 every column to within 1e-9 of that column's largest magnitude. Byte
 identity across versions is not asked for: a refactor may reorder floating
-point work, but it must not move a trajectory.
+point work, but it must not move a trajectory. The heat2d case's config
+also bounds what an integrator state keeps in memory.
 """
 
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blobflow.cli import main
+from blobflow.cli import build_runspec, main, parse_config_text
+from blobflow.dynamics import make_state
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 FILES = ("diagnostics.csv", "snapshot_final.csv")
@@ -146,3 +149,24 @@ def test_run_matches_its_golden_files(name, tmp_path):
             bound = RTOL * np.max(np.abs(golden[defined, col]))
             gap = np.max(np.abs(new[defined, col] - golden[defined, col]), initial=0.0)
             assert gap <= bound, f"{name}/{filename} column {column}: {gap:.3e} > {bound:.3e}"
+
+
+def test_a_d2_state_keeps_only_its_particle_and_node_arrays():
+    # a SimState holds the cloud, grad p at it, and mu, j and q; the window
+    # that scattered mu, on this grid about 1.35 times those arrays, is not
+    # kept. The slack covers the grid's and the snapshot's small objects.
+    slack = 32 * 1024
+    cfg = parse_config_text(CASES["heat2d"])
+    spec = build_runspec(cfg, cfg.epsilons[0])
+    make_state(spec, spec.initial)  # fills the per-energy caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = make_state(spec, spec.initial)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    f = state.fields
+    arrays = state.ensemble.positions.nbytes + state.pressure_grad.nbytes
+    arrays += f.mu.nbytes + f.j.nbytes + f.q.nbytes
+    assert retained <= arrays + slack, f"{retained} bytes kept, arrays {arrays}"
