@@ -545,6 +545,17 @@ def _apply_threads(n: int) -> None:
         os.environ[f"{pool}_NUM_THREADS"] = str(n)
 
 
+def _thread_count(text: str) -> int:
+    """--threads value: an int of 0 or more; argparse exits 2 on anything else."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blobflow",
@@ -555,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
         help="cap numeric thread pools (default 1; 0 = leave as-is)",
     )

@@ -125,27 +125,44 @@ def _newton_bisect(g_and_gp, lo, hi, scale, max_iter: int = 200, tol: float = 1e
     Falls back to bisection whenever the Newton candidate leaves the bracket.
     Accepts a lane when |g| <= tol*scale or when the bracket has collapsed to
     floating-point resolution. Raises ConvergenceError otherwise.
+
+    Runs in a fixed set of lane buffers: the bracket, the iterate (returned),
+    the tolerance, two scratch arrays and four masks, every per-iteration
+    temporary written into one of them with out=. Float arrays lo and hi are
+    taken over as the bracket and overwritten, so callers pass fresh ones.
+    g_and_gp(b) returns (g, g') at the iterate; the solve only reads them.
     """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    accept = tol * np.broadcast_to(scale, lo.shape)
-    b = 0.5 * (lo + hi)
-    done = np.zeros(lo.shape, dtype=bool)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    accept = np.multiply(tol, np.broadcast_to(scale, lo.shape))
+    b = np.add(lo, hi)
+    b *= 0.5
+    s1, s2 = np.empty_like(b), np.empty_like(b)
+    done, live, m1, m2 = (np.zeros(lo.shape, dtype=bool) for _ in range(4))
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             g, gp = g_and_gp(b)
-            done |= np.abs(g) <= accept
-            done |= (hi - lo) <= 1e-15 * (np.abs(b) + 1e-300)
+            # done |= |g| <= accept, and where (hi - lo) <= 1e-15 (|b| + 1e-300)
+            done |= np.less_equal(np.abs(g, out=s1), accept, out=m1)
+            np.abs(b, out=s2)
+            s2 += 1e-300
+            s2 *= 1e-15
+            done |= np.less_equal(np.subtract(hi, lo, out=s1), s2, out=m1)
             if done.all():
                 return b
-            live = ~done
-            above = g > 0.0
-            np.minimum(hi, b, out=hi, where=above & live)
-            np.maximum(lo, b, out=lo, where=~above & live)
-            # NaN and +-inf candidates fail both comparisons
-            cand = b - g / gp
-            inside = (cand > lo) & (cand < hi)
-            np.copyto(b, np.where(inside, cand, 0.5 * (lo + hi)), where=live)
+            np.logical_not(done, out=live)
+            np.greater(g, 0.0, out=m1)
+            np.minimum(hi, b, out=hi, where=np.logical_and(m1, live, out=m2))
+            np.logical_not(m1, out=m1)
+            np.maximum(lo, b, out=lo, where=np.logical_and(m1, live, out=m2))
+            # the candidate b - g / g' in s1; NaN and +-inf fail both
+            # comparisons, and those lanes take the midpoint in s2
+            np.subtract(b, np.divide(g, gp, out=s1), out=s1)
+            np.logical_and(np.greater(s1, lo, out=m1), np.less(s1, hi, out=m2), out=m1)
+            np.add(lo, hi, out=s2)
+            s2 *= 0.5
+            np.copyto(s2, s1, where=m1)
+            np.copyto(b, s2, where=live)
     raise ConvergenceError(
         f"root solve missed tolerance {tol} on {int((~done).sum())} lane(s) "
         f"after {max_iter} iterations"
@@ -198,12 +215,23 @@ def _stationary(family: EnergyFamily, alpha: float, beta: float, r):
     with (alpha, beta, r) = (1, delta, a), and the proximal variable of
     (f_reg*)'(b) with (delta, 1 + delta^2, b). Power laws write it as
     alpha j + c j^(m-1) = r with c = beta m / (m - 1), negative for fast
-    diffusion. Solved by _newton_bisect on a bracket holding the root.
+    diffusion. Solved by _newton_bisect on a fresh bracket holding the root,
+    which the solve takes over; the residual g and its slope g' are formed
+    in two lane buffers kept for the solve, by the operations of the plain
+    expressions in their order.
     """
     if family.kind == HEAT:
+        g, gp = np.empty_like(r), np.empty_like(r)
 
-        def g_heat(j):
-            return alpha * j + beta * np.log(j) - r, alpha + beta / j
+        def g_heat(j, g=g, gp=gp):
+            # alpha j + beta log j - r and alpha + beta / j
+            np.log(j, out=g)
+            g *= beta
+            g += np.multiply(alpha, j, out=gp)
+            g -= r
+            np.divide(beta, j, out=gp)
+            gp += alpha
+            return g, gp
 
         # for r >= 0 the root lies in [0, max(1, r / alpha)]. For r < 0 it
         # lies in (0, 1) and can sit far below what halving reaches: there
@@ -214,25 +242,40 @@ def _stationary(family: EnergyFamily, alpha: float, beta: float, r):
         lo = np.where(neg, np.exp((r_neg - alpha) / beta), 0.0)
         hi = np.where(neg, np.exp(r_neg / beta), np.maximum(1.0, r / alpha))
         scale = np.where(neg, beta + alpha * lo, np.maximum(1.0, r))
+        del r_neg  # a lane array the solve does not read
         return _newton_bisect(g_heat, lo, hi, scale)
 
     m = family.m
     c = beta * m / (m - 1.0)
     if family.kind == POROUS_MEDIUM:
         live = r > 0.0  # the root is 0 where r <= 0
-        lo, hi = np.zeros_like(r), r / alpha
+        rhs = r[live]
+        lo, hi = np.zeros_like(rhs), rhs / alpha
     else:  # fast diffusion: (-c / alpha)^(1 / (2 - m)) is the root at r = 0
         live = slice(None)
+        rhs = r
         lo = np.full_like(r, 1e-300)
         hi = np.maximum(r, 0.0) / alpha + (-c / alpha) ** (1.0 / (2.0 - m))
-    rhs = r[live]
+    g, gp = np.empty_like(rhs), np.empty_like(rhs)
 
-    def g_power(j):
-        return alpha * j + c * j ** (m - 1.0) - rhs, alpha + c * (m - 1.0) * j ** (m - 2.0)
+    def g_power(j, g=g, gp=gp):
+        # alpha j + c j^(m-1) - rhs and alpha + c (m-1) j^(m-2); ** in place
+        # takes the fast paths of ** (sqrt, square, ...) for the same bits
+        np.copyto(g, j)
+        g **= m - 1.0
+        g *= c
+        g += np.multiply(alpha, j, out=gp)
+        g -= rhs
+        np.copyto(gp, j)
+        gp **= m - 2.0
+        gp *= c * (m - 1.0)
+        gp += alpha
+        return g, gp
 
-    out = np.zeros_like(r)
     scale = np.maximum(1.0, np.abs(rhs))
-    out[live] = _newton_bisect(g_power, lo[live], hi[live], scale)
+    j = _newton_bisect(g_power, lo, hi, scale)
+    out = np.zeros_like(r)
+    out[live] = j
     return out
 
 
@@ -244,25 +287,26 @@ def _prox_at_zero(family: EnergyFamily, delta: float) -> float:
     return float(_stationary(family, 1.0, delta, np.zeros(1))[0])
 
 
-def prox(family: EnergyFamily, delta: float, a):
+def prox(family: EnergyFamily, delta: float, a, out=None):
     """Proximal point J_delta(a) = argmin_b f(b) + (b - a)^2 / (2 delta).
 
     The height constraint clips to [0, 1]; the other families solve their
     stationarity condition with _stationary on the lanes with a != 0 only.
     Lanes with a == 0, the grid nodes no particle reaches, take J_delta(0)
-    from _prox_at_zero, the value their own solve would reach.
+    from _prox_at_zero, the value their own solve would reach. An array out
+    of a's shape receives J and is returned.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     arr, scalar = _prepare(a)
     if family.kind == HEIGHT_CONSTRAINT:
-        return _finish(np.clip(arr, 0.0, 1.0), scalar)
-    flat = arr.ravel()
-    live = flat != 0.0
-    out = np.full_like(flat, _prox_at_zero(family, float(delta)))
+        return _finish(np.clip(arr, 0.0, 1.0, out=out), scalar)
+    j = np.empty(arr.shape) if out is None else out
+    j[...] = _prox_at_zero(family, float(delta))
+    live = arr != 0.0
     if live.any():
-        out[live] = _stationary(family, 1.0, delta, flat[live])
-    return _finish(out.reshape(arr.shape), scalar)
+        j[live] = _stationary(family, 1.0, delta, arr[live])
+    return _finish(j, scalar)
 
 
 def moreau_value(family: EnergyFamily, delta: float, a, j=None):
@@ -299,9 +343,7 @@ def reg_derivative(reg: RegularizedEnergy, a, prox_out=None):
     arr, scalar = _prepare(a)
     if (arr < 0.0).any():
         raise ValueError("reg_derivative is defined on [0, inf)")
-    j = np.asarray(prox(reg.family, reg.delta, arr))
-    if prox_out is not None:
-        prox_out[...] = j
+    j = np.asarray(prox(reg.family, reg.delta, arr, out=prox_out))
     out = reg.delta * arr + (arr - j) / reg.delta
     return _finish(out, scalar)
 

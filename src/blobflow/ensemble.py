@@ -10,7 +10,10 @@ large scalings absorbed into the potentials: the cloud-to-reference cost two
 matrix-vector products a sweep, each self cost the symmetric averaged update,
 one product and a square root a sweep. Each cost stops once its potentials
 move by no more than a fixed multiple of double rounding, and after 500
-sweeps at most.
+sweeps at most. A cost holds one N×M array: the distances, overwritten by
+the Gibbs kernel, both written in blocks of _ROW_BLOCK rows through one
+small scratch array. The reference's atoms and its self cost are solved
+once per density and grid size and kept on the ReferenceDensity.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +36,9 @@ ABSORB_BOUND = math.exp(ABSORB_LOG)
 STOP_ULPS = 64
 # and after at most this many sweeps
 MAX_SWEEPS = 500
+# a term's N×M array is filled, reduced and exponentiated this many rows at a
+# time, through one (_ROW_BLOCK, M) scratch array
+_ROW_BLOCK = 64
 
 QUANTILE = "quantile"
 REJECTION = "rejection"
@@ -123,6 +130,22 @@ class ReferenceDensity:
 
         return cdf
 
+    @cached_property
+    def _w1_atoms(self) -> dict:
+        return {}
+
+    def w1_atoms(self, per_axis: int):
+        """(atoms, weights, bb) of the d=2 W1 on a per_axis^2 grid of cell
+        centres, bb the atoms' self cost at the W1's eta. Built on first use
+        and kept with the density, so a reference that stays the same object
+        from record to record solves bb once."""
+        atoms = self._w1_atoms.get(per_axis)
+        if atoms is None:
+            xb, wb = _grid_atoms_2d(self, per_axis)
+            bb, _ = _self_cost(xb, wb, _w1_eta(self))
+            atoms = self._w1_atoms[per_axis] = (xb, wb, bb)
+        return atoms
+
 
 def quantiles_from_cdf(cdf, lo: float, hi: float, u: np.ndarray) -> np.ndarray:
     """Invert a nondecreasing CDF at levels u by vectorized bisection."""
@@ -205,7 +228,8 @@ def w1_vs_density(
     entropic scale eta = 0.01 |box diagonal|. Each term runs stabilized
     Sinkhorn sweeps until its potentials stop moving at double rounding, 500
     at most: two-sided for ab (_entropic_cost), the symmetric update for aa
-    and bb (_self_cost). The result is clipped at 0.
+    and bb (_self_cost). bb is solved once per reference object and grid
+    size (ReferenceDensity.w1_atoms). The result is clipped at 0.
     """
     if e.dim != ref.dim:
         raise ValueError("dimension mismatch between ensemble and reference")
@@ -232,31 +256,56 @@ def _grid_atoms_2d(ref: ReferenceDensity, per_axis: int):
     return pts, w / total
 
 
-def _distances(xa, xb):
-    """|x_i - y_j| for every pair of atoms, as an (N, M) array.
+def _w1_eta(ref: ReferenceDensity) -> float:
+    """The d=2 W1's entropic scale: a hundredth of the box diagonal."""
+    lo, hi = ref.box
+    return 0.01 * float(np.linalg.norm(hi - lo))
 
-    The squared differences are added in place, axis by axis in axis order,
-    into the one (N, M) array returned, through one (N, M) scratch array:
-    the bits of summing the squares over the last axis of an (N, M, d)
-    difference array, without building that array or a new sum per axis."""
-    cost = np.zeros((len(xa), len(xb)))
-    diff = np.empty_like(cost)
-    for ax in range(xa.shape[1]):
-        np.subtract.outer(xa[:, ax], xb[:, ax], out=diff)
-        cost += np.square(diff, out=diff)
-    return np.sqrt(cost, out=cost)
+
+def _row_blocks(array):
+    """(rows, scratch) for each block of _ROW_BLOCK rows of a 2d array, in
+    order: rows a view of the block, scratch an array of its shape. Every
+    block's scratch is a view of one buffer."""
+    buffer = np.empty((min(_ROW_BLOCK, len(array)), array.shape[1]))
+    for start in range(0, len(array), _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, len(array))
+        yield slice(start, stop), buffer[: stop - start]
+
+
+def _distances(xa, xb, out=None):
+    """|x_i - y_j| for every pair of atoms, as an (N, M) array, written into
+    out when it is given.
+
+    In each block of _ROW_BLOCK rows the squared differences are added in
+    place, axis by axis in axis order, through one scratch array: every entry
+    has the bits of summing the squares over the last axis of an (N, M, d)
+    difference array, whatever the block size, without building that array
+    or a second N×M one."""
+    cost = np.empty((len(xa), len(xb))) if out is None else out
+    for rows, diff in _row_blocks(cost):
+        block = cost[rows]
+        block.fill(0.0)
+        for ax in range(xa.shape[1]):
+            np.subtract.outer(xa[rows, ax], xb[:, ax], out=diff)
+            block += np.square(diff, out=diff)
+        np.sqrt(block, out=block)
+    return cost
 
 
 def _gibbs_kernel(f, g, cost, eta: float):
-    """K = exp((f_i + g_j - C_ij) / eta), and the band (lo, hi) in which every
-    scaling ratio of a sweep must lie for its term to stop."""
-    kernel = f[:, None] + g[None, :]
-    kernel -= cost
-    kernel /= eta
-    np.exp(kernel, out=kernel)
+    """Overwrite the distances C in cost with K = exp((f_i + g_j - C_ij) / eta)
+    and return the band (lo, hi) in which every scaling ratio of a sweep must
+    lie for its term to stop. K is written block by block of _ROW_BLOCK rows
+    through one scratch array, each entry by the same operations in the same
+    order as on the whole array."""
+    for rows, block in _row_blocks(cost):
+        np.add.outer(f[rows], g, out=block)
+        block -= cost[rows]
+        block /= eta
+        np.exp(block, out=cost[rows])
     # |eta log(u'/u)| <= tol  <=>  u'/u within exp(+-tol/eta)
     tol = STOP_ULPS * np.finfo(float).eps * max(1.0, np.abs(f).max(), np.abs(g).max())
-    return kernel, np.exp(-tol / eta), np.exp(tol / eta)
+    return np.exp(-tol / eta), np.exp(tol / eta)
 
 
 def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = MAX_SWEEPS) -> tuple[float, int]:
@@ -264,29 +313,33 @@ def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = MAX_SWEEPS) -> tupl
 
     Sinkhorn in scaling form, stabilized by absorption (Schmitzer, SIAM J.
     Sci. Comput. 2019): potentials f, g start at the c-transforms of zero,
-    so K = exp((f + g - C) / eta) has row and column maxima 1; each sweep is
-    two matrix-vector products, and once a scaling u or v leaves
-    exp(+-ABSORB_LOG) it is absorbed into its potential, u = v = 1 and K
-    rebuilt. It stops after a sweep in which no entry of eta log u or
-    eta log v moved by more than STOP_ULPS units of double rounding of
-    max(1, max |f|, max |g|), or after `sweeps` sweeps. The rule reads
-    nothing but the iterates, and the iterates do not depend on the run or
-    the BLAS thread count, so neither does the sweep it stops at: reruns
-    and thread counts give the same bits. A cost of atoms to themselves
-    converges far sooner by _self_cost.
+    f the row minima of C and g the column minima of C - f, taken as a
+    running minimum over row blocks, so K = exp((f + g - C) / eta) has row
+    and column maxima 1. K overwrites C in the term's one N×M array. Each
+    sweep is two matrix-vector products, and once a scaling u or v leaves
+    exp(+-ABSORB_LOG) it is absorbed into its potential, u = v = 1, and the
+    array is refilled with C before K is rebuilt. It stops after a sweep in
+    which no entry of eta log u or eta log v moved by more than STOP_ULPS
+    units of double rounding of max(1, max |f|, max |g|), or after `sweeps`
+    sweeps. The rule reads nothing but the iterates, and the iterates do not
+    depend on the run or the BLAS thread count, so neither does the sweep it
+    stops at: reruns and thread counts give the same bits. A cost of atoms
+    to themselves converges far sooner by _self_cost.
     Returns (sum wa (f + eta log u) + sum wb (g + eta log v), sweeps used).
     """
-    cost = _distances(xa, xb)
-    f = cost.min(axis=1)
-    g = (cost - f[:, None]).min(axis=0)
+    # the term's one N×M array: the distances C, then K written over them
+    kernel = _distances(xa, xb)
+    f = kernel.min(axis=1)
+    g = np.full(len(wb), np.inf)
+    for rows, block in _row_blocks(kernel):
+        np.subtract(kernel[rows], f[rows, None], out=block)
+        np.minimum(g, block.min(axis=0), out=g)
+    lo, hi = _gibbs_kernel(f, g, kernel, eta)
     # u and v are views of one buffer, so each test below is one reduction
     scalings = np.ones(len(wa) + len(wb))
     u, v = scalings[: len(wa)], scalings[len(wa) :]
     previous = np.empty_like(scalings)
-    kernel = None
     for sweep in range(1, sweeps + 1):
-        if kernel is None:
-            kernel, lo, hi = _gibbs_kernel(f, g, cost, eta)
         np.copyto(previous, scalings)
         np.divide(1.0, kernel @ (v * wb), out=u)
         np.divide(1.0, kernel.T @ (u * wa), out=v)
@@ -294,7 +347,7 @@ def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = MAX_SWEEPS) -> tupl
             f += eta * np.log(u)
             g += eta * np.log(v)
             scalings.fill(1.0)
-            kernel = None
+            lo, hi = _gibbs_kernel(f, g, _distances(xa, xb, out=kernel), eta)
             continue
         ratio = scalings / previous
         if ratio.min() >= lo and ratio.max() <= hi:
@@ -312,25 +365,24 @@ def _self_cost(x, w, eta: float) -> tuple[float, int]:
     _entropic_cost takes hundreds (Feydy et al., AISTATS 2019). In scaling
     form, f starts at the c-transform of zero, which is 0 on the diagonal,
     and each sweep is one matrix-vector product and a square root:
-    u <- sqrt(u / K (w u)), K = exp((f_i + f_j - C_ij) / eta). Absorption,
-    the stopping rule on eta log u and the MAX_SWEEPS cap are _entropic_cost's.
+    u <- sqrt(u / K (w u)), K = exp((f_i + f_j - C_ij) / eta). K overwrites
+    C in one N×N array. Absorption with its refill, the stopping rule on
+    eta log u and the MAX_SWEEPS cap are _entropic_cost's.
     Returns (2 sum w (f + eta log u), sweeps used).
     """
-    cost = _distances(x, x)
+    kernel = _distances(x, x)
     f = np.zeros(len(w))
     u = np.ones(len(w))
     previous = np.empty_like(u)
-    kernel = None
+    lo, hi = _gibbs_kernel(f, f, kernel, eta)
     for sweep in range(1, MAX_SWEEPS + 1):
-        if kernel is None:
-            kernel, lo, hi = _gibbs_kernel(f, f, cost, eta)
         np.copyto(previous, u)
         np.divide(u, kernel @ (w * u), out=u)
         np.sqrt(u, out=u)
         if u.max() > ABSORB_BOUND or u.min() < 1.0 / ABSORB_BOUND:
             f += eta * np.log(u)
             u.fill(1.0)
-            kernel = None
+            lo, hi = _gibbs_kernel(f, f, _distances(x, x, out=kernel), eta)
             continue
         ratio = u / previous
         if ratio.min() >= lo and ratio.max() <= hi:
@@ -340,14 +392,12 @@ def _self_cost(x, w, eta: float) -> tuple[float, int]:
 
 def _sinkhorn_w1_2d(e: ParticleEnsemble, ref: ReferenceDensity, resolution: int) -> float:
     per_axis = max(8, min(64, int(np.sqrt(resolution))))
-    xb, wb = _grid_atoms_2d(ref, per_axis)
+    xb, wb, bb = ref.w1_atoms(per_axis)
     xa = e.positions
     wa = np.full(e.n, e.weight)
-    lo, hi = ref.box
-    eta = 0.01 * float(np.linalg.norm(hi - lo))
+    eta = _w1_eta(ref)
     ab, _ = _entropic_cost(xa, wa, xb, wb, eta)
     aa, _ = _self_cost(xa, wa, eta)
-    bb, _ = _self_cost(xb, wb, eta)
     return float(max(ab - 0.5 * (aa + bb), 0.0))
 
 

@@ -655,6 +655,49 @@ def test_threads_default_to_one(tmp_path, monkeypatch, flag, expect):
     assert {os.environ[var] for var in pools} == {expect}
 
 
+def test_negative_threads_exit_2_at_parse_time(tmp_path, monkeypatch, capsys):
+    pools = [f"{name}_NUM_THREADS" for name in ("OMP", "OPENBLAS", "MKL", "NUMEXPR")]
+    for var in pools:
+        monkeypatch.setenv(var, "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tmp_path / "missing.ini"), "--threads", "-3"])
+    assert exc.value.code == 2
+    assert "argument --threads: must be 0 or more, not -3" in capsys.readouterr().err
+    assert {os.environ[var] for var in pools} == {"2"}
+
+
+def test_a_fixed_reference_solves_its_self_cost_once(tmp_path, monkeypatch):
+    # a Gaussian reference is one object for the whole run, so the 2d W1
+    # solves its atoms' self cost once, and the cloud's at each of 3 records
+    import blobflow.ensemble as ensemble
+    from blobflow.reference import gaussian_reference
+
+    calls = []
+    self_cost = ensemble._self_cost
+
+    def counted(x, w, eta):
+        calls.append(len(x))
+        return self_cost(x, w, eta)
+
+    monkeypatch.setattr(ensemble, "_self_cost", counted)
+    path = write_config(
+        tmp_path,
+        base_config(
+            family="kind = heat\ndimension = 2",
+            flow="epsilon = 0.2\nbeta = 0.5\nt_final = 0.02\ndt = 0.01",
+            particles="n = 64\nseed = 1\ninit = rejection",
+            reference="kind = gaussian\nsigma = 1.0\nresolution = 256",
+        ),
+    )
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    _, rows = read_rows(tmp_path / "o" / "diagnostics.csv")
+    assert len(rows) == 3
+    assert calls == [256, 64, 64, 64]
+    final = load_snapshot(tmp_path / "o" / "snapshot_final.csv")
+    fresh = ensemble.w1_vs_density(final, gaussian_reference(2, 1.0), 256)
+    assert float(rows[-1][DIAG_HEADER.split(",").index("w1_to_reference")]) == fresh
+
+
 def test_two_dimensional_run_independent_of_thread_count(tmp_path):
     # a d = 2 Gaussian stage reduces per-axis kernel factors over blocks of
     # 64 particles (N = 256 makes four). A BLAS product of these factors

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
+from blobflow import ensemble
 from blobflow.ensemble import (
     ParticleEnsemble,
     ReferenceDensity,
@@ -195,16 +197,23 @@ def test_sinkhorn_w1_2d_matches_log_domain_reference(case):
         assert _entropic_cost(xa, wa, xb, wb, eta)[1] < 500
 
 
+FAINT_BOX = (np.full(2, -22.0), np.full(2, 22.0))
+
+
+def _faint_atoms():
+    """A standard normal on +-22, on 16 x 16 atoms."""
+    return _grid_atoms_2d(ReferenceDensity(name="far", dim=2, pdf=NORMAL2.pdf, box=FAINT_BOX), 16)
+
+
 @pytest.mark.parametrize("eta, absorbs", [(None, False), (0.1, True)])
 def test_self_cost_on_faint_atoms(eta, absorbs):
     # a standard normal on +-22: the corner atoms weigh about 1e-185. At the
     # W1's eta (a hundredth of the box diagonal) the first sweep's scalings
     # reach about exp(23); at eta 0.1 they pass exp(ABSORB_LOG) and are absorbed
-    box = (np.full(2, -22.0), np.full(2, 22.0))
-    xb, wb = _grid_atoms_2d(ReferenceDensity(name="far", dim=2, pdf=NORMAL2.pdf, box=box), 16)
+    xb, wb = _faint_atoms()
     assert wb.min() < 1e-180
     if eta is None:
-        eta = 0.01 * float(np.linalg.norm(box[1] - box[0]))
+        eta = 0.01 * float(np.linalg.norm(FAINT_BOX[1] - FAINT_BOX[0]))
     c = np.sqrt(((xb[:, None, :] - xb[None, :, :]) ** 2).sum(axis=2))
     first_log_u = -0.5 * np.log(np.exp(-c / eta) @ wb)
     assert (first_log_u.max() > ABSORB_LOG) == absorbs
@@ -228,14 +237,59 @@ def test_self_cost_matches_two_sided_sinkhorn_run_long():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_distances_add_squares_in_place_with_the_bits_of_a_sum(d):
     rng = np.random.default_rng(d)
-    xa, xb = rng.normal(size=(37, d)), rng.normal(size=(29, d))
-    xb[:5] = xa[:5]  # coincident points
-    for x, y in ((xa, xb), (xa, xa)):
-        old = np.sqrt(sum(np.subtract.outer(x[:, ax], y[:, ax]) ** 2 for ax in range(d)))
-        new = _distances(x, y)
-        assert new.shape == (len(x), len(y))
-        assert np.array_equal(new, old)
-        assert np.all(new[range(5), range(5)] == 0.0)
+    # rows are filled in blocks of 64: one partial block of 1, 37 or 63 rows,
+    # one full block, a full one and one row, two full ones and two rows
+    for rows in (1, 37, 63, 64, 65, 130):
+        xa, xb = rng.normal(size=(rows, d)), rng.normal(size=(29, d))
+        same = min(5, rows)
+        xb[:same] = xa[:same]  # coincident points
+        for x, y in ((xa, xb), (xa, xa)):
+            old = np.sqrt(sum(np.subtract.outer(x[:, ax], y[:, ax]) ** 2 for ax in range(d)))
+            new = _distances(x, y)
+            assert new.shape == (len(x), len(y))
+            assert np.array_equal(new, old)
+            assert np.all(new[range(same), range(same)] == 0.0)
+            out = np.full_like(old, np.nan)
+            assert _distances(x, y, out=out) is out
+            assert np.array_equal(out, old)
+
+
+def _sinkhorn_case(case):
+    """(function, arguments) of one Sinkhorn term with recorded bits."""
+    eta = 0.01 * float(np.linalg.norm(NORMAL2.box[1] - NORMAL2.box[0]))
+    xa = np.random.default_rng(130).normal(size=(130, 2))
+    wa = np.full(130, 1.0 / 130)
+    xb, wb = _grid_atoms_2d(NORMAL2, 8)
+    if case == "cloud_to_atoms":
+        return _entropic_cost, (xa, wa, xb, wb, eta)
+    if case == "cloud":
+        return _self_cost, (xa, wa, eta)
+    if case == "atoms":
+        return _self_cost, (xb, wb, eta)
+    if case == "faint_atoms":
+        return _self_cost, (*_faint_atoms(), 0.1)
+    # the overflow pair of test_entropic_cost_absorbs_scalings_past_overflow,
+    # which absorbs four times
+    x = np.array([[0.0, 0.0], [1000.0, 0.0]])
+    return _entropic_cost, (x, np.array([0.99, 0.01]), x, np.array([0.01, 0.99]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "case, value, sweeps",
+    [
+        ("cloud_to_atoms", 0.7367119407231291, 383),
+        ("cloud", 0.4851770647514495, 34),
+        ("atoms", 0.32093234401633164, 6),
+        ("faint_atoms", 0.13951877333333457, 46),
+        ("overflow_pair", 980.0001010118189, 114),
+    ],
+)
+def test_sinkhorn_terms_keep_their_recorded_bits(case, value, sweeps):
+    # recorded from the code that held each term's cost matrix and Gibbs
+    # kernel as two whole arrays; the 130-point cloud ends in a partial row
+    # block, and the last two cases refill their one array on absorption
+    fn, args = _sinkhorn_case(case)
+    assert fn(*args) == (value, sweeps)
 
 
 def test_entropic_cost_absorbs_scalings_past_overflow():
@@ -250,15 +304,17 @@ def test_entropic_cost_absorbs_scalings_past_overflow():
 
 def test_w1_vs_density_2d_independent_of_thread_count():
     # the scaling sweeps reduce through BLAS gemv; all three problems here
-    # are large enough for OpenBLAS to split them across threads
+    # are large enough for OpenBLAS to split them across threads. The
+    # 150-point cloud's last row block of 64 is partial
     code = (
         "import numpy as np\n"
         "from blobflow.ensemble import ParticleEnsemble, ReferenceDensity, w1_vs_density\n"
         "box = (np.full(2, -4.0), np.full(2, 4.0))\n"
         "pdf = lambda p: np.exp(-0.5 * (p**2).sum(axis=1))\n"
         "ref = ReferenceDensity(name='normal2', dim=2, pdf=pdf, box=box)\n"
-        "xs = np.random.default_rng(3).normal(size=(128, 2))\n"
-        "print(repr(w1_vs_density(ParticleEnsemble(xs), ref, resolution=256)))\n"
+        "for n in (128, 150):\n"
+        "    xs = np.random.default_rng(3).normal(size=(n, 2))\n"
+        "    print(repr(w1_vs_density(ParticleEnsemble(xs), ref, resolution=256)))\n"
     )
     outputs = []
     for threads in ("1", "2"):
@@ -269,7 +325,45 @@ def test_w1_vs_density_2d_independent_of_thread_count():
         )
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert float(outputs[0]) > 0.0
+    assert all(float(value) > 0.0 for value in outputs[0].split())
+
+
+def test_w1_vs_density_2d_holds_one_n_by_n_array():
+    # the cloud's self term is the largest: its distances and then its Gibbs
+    # kernel share one 2048 x 2048 array, filled through one 64-row scratch
+    n = 2048
+    e = cloud(np.random.default_rng(1).normal(size=(n, 2)))
+    ref = gaussian_reference(2, 1.0)
+    tracemalloc.start()
+    try:
+        w1_vs_density(e, ref, resolution=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
+
+
+def test_w1_vs_density_2d_solves_the_reference_self_term_once(monkeypatch):
+    calls = []
+    self_cost = ensemble._self_cost
+
+    def counted(x, w, eta):
+        calls.append(len(x))
+        return self_cost(x, w, eta)
+
+    monkeypatch.setattr(ensemble, "_self_cost", counted)
+    rng = np.random.default_rng(2)
+    clouds = [cloud(rng.normal(size=(40, 2))) for _ in range(3)]
+    ref = gaussian_reference(2, 1.0)
+    first = [w1_vs_density(e, ref, resolution=256) for e in clouds]
+    # bb once for the reference, then aa once per cloud
+    assert calls == [256, 40, 40, 40]
+    again = [w1_vs_density(e, ref, resolution=256) for e in clouds]
+    fresh = [w1_vs_density(e, gaussian_reference(2, 1.0), resolution=256) for e in clouds]
+    assert first == again == fresh
+    # a second grid size is a second entry
+    w1_vs_density(clouds[0], ref, resolution=1024)
+    assert calls[-2:] == [1024, 40]
 
 
 def test_rejection_sampling_tracks_target():
