@@ -67,7 +67,6 @@ CONFIG_KEYS = (
     Key("kernel", "kind", "kernel_kind", KERNEL_KINDS, "gaussian"),
     Key("kernel", "effective_r", "effective_r", float, gt=0.0),
     Key("kernel", "order", "bump_order", int, 4, ge=3),
-    Key("kernel", "truncation_radius_multiple", "truncation_radius_multiple", float, 8.0, gt=0.0),
     Key("flow", "epsilon", "epsilons", _number_list, REQUIRED, gt=0.0),
     Key("flow", "beta", "beta", float, 0.5, gt=0.0),
     Key("flow", "t_final", "t_final", float, REQUIRED, ge=0.0),
@@ -216,16 +215,14 @@ def parse_config_text(text: str) -> SimConfig:
             f"[reference] kind = {reference} requires [family] dimension 1 or 2 "
             f"(got {d}): W1 to a density is measured in d = 1 and 2 only"
         )
-    cut = v["truncation_radius_multiple"]
-    if v["kernel_kind"] == "gaussian" and d is not None and cut is not None:
-        # the Gaussian cut on the cube max_a |x_a| <= R eps keeps the mass
-        # erf(R / sqrt 2)^d and is not renormalized
-        lost = 1.0 - math.erf(cut / math.sqrt(2.0)) ** d
-        if lost > 1e-8:
-            errors.append(
-                f"[kernel] truncation_radius_multiple = {cut} cuts {lost:.3e} of the "
-                f"gaussian's unit mass in dimension {d} (at most 1e-08)"
-            )
+    fast_start = initial == "barenblatt" and v["family_kind"] == "fast_diffusion"
+    if fast_start and d is not None and d >= 2:
+        # the reference box spans 200 profile scales, so the sampler's
+        # envelope probes miss the core and almost every proposal is refused
+        errors.append(
+            f"[initial] kind = barenblatt of a fast_diffusion family requires [family] "
+            f"dimension = 1 (got {d}): rejection sampling stalls on its heavy tails"
+        )
 
     if errors:
         raise ConfigError(errors)
@@ -272,10 +269,7 @@ def _kernel(cfg: SimConfig, epsilon: float):
 
     if cfg.kernel_kind == "gaussian":
         return MollifierKernel.gaussian(
-            epsilon,
-            dimension=cfg.dimension,
-            truncation_radius_multiple=cfg.truncation_radius_multiple,
-            effective_r=cfg.effective_r,
+            epsilon, dimension=cfg.dimension, effective_r=cfg.effective_r
         )
     return MollifierKernel.bump(
         epsilon,
@@ -352,9 +346,7 @@ def build_runspec(cfg: SimConfig, epsilon: float):
         reg=reg,
         kernel=kernel,
         velocity=(
-            dyn.VelocityConfig.none()
-            if cfg.velocity_kind == "none"
-            else dyn.VelocityConfig.quadratic()
+            dyn.VelocityConfig() if cfg.velocity_kind == "none" else dyn.VelocityConfig.quadratic()
         ),
         initial=initial,
         t_final=cfg.t_final,

@@ -178,20 +178,12 @@ def _central_differences(fn, points: np.ndarray, h: float):
 
 @dataclass(frozen=True)
 class VelocityConfig:
-    """Autonomous drift v(x): none (neither callable set), the gradient of a
-    potential (its finite-difference gradient when grad is unset), or a
-    custom field (grad alone)."""
+    """Autonomous drift v(x): none (VelocityConfig(), neither callable
+    set), the gradient of a potential (its finite-difference gradient when
+    grad is unset), or a custom field (grad alone)."""
 
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @staticmethod
-    def none() -> "VelocityConfig":
-        return VelocityConfig()
-
-    @staticmethod
-    def gradient_of_potential(potential, grad=None) -> "VelocityConfig":
-        return VelocityConfig(potential=potential, grad=grad)
 
     @staticmethod
     def quadratic() -> "VelocityConfig":
@@ -353,7 +345,9 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything dynamics.run needs; cli builds one per experiment."""
+    """Everything dynamics.run needs; cli builds one per experiment. The
+    family's dimension_hint is the d of the stability constant, and so of
+    the auto step: it must be the cloud's dimension."""
 
     reg: RegularizedEnergy
     kernel: MollifierKernel
@@ -378,6 +372,9 @@ class RunSpec:
             raise ValueError("dt must be positive (or None for auto)")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        hint, d = self.reg.family.dimension_hint, self.initial.dim
+        if hint != d:
+            raise ValueError(f"the family's dimension_hint {hint} is not the cloud's dimension {d}")
 
 
 @dataclass(frozen=True)
@@ -399,9 +396,9 @@ class Trajectory:
     final: Optional[ParticleEnsemble] = None
     c_eps: float = 0.0
     dt: float = 0.0
-    # (t, dissipation rate) of each record in the first columns of a buffer
-    # that doubles when full, so the residual quadrature costs no list copy
-    _rate_history: np.ndarray = field(default_factory=lambda: np.empty((2, 16)), repr=False)
+    # t and dissipation rate of each record, for the residual quadrature
+    _times: list[float] = field(default_factory=list, repr=False)
+    _rates: list[float] = field(default_factory=list, repr=False)
 
 
 def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
@@ -485,22 +482,16 @@ def _dissipation_rate(state: SimState) -> float:
 
 def _record(state: SimState, trajectory: Trajectory, on_record=None) -> None:
     """Append one record. Its diss_residual has the bits of
-    dissipation_residual over every record so far, computed on the filled
-    prefix of the (t, rate) history."""
+    dissipation_residual over every record so far."""
     spec = state.spec
     t = state.ensemble.time
     f_now = energy_F_eps(state.fields)
     rate = _dissipation_rate(state)
-    n = len(trajectory.records)
-    if n == trajectory._rate_history.shape[1]:
-        trajectory._rate_history = np.concatenate(
-            [trajectory._rate_history, np.empty_like(trajectory._rate_history)], axis=1
-        )
-    trajectory._rate_history[:, n] = t, rate
-    times, rates = trajectory._rate_history[:, : n + 1]
+    trajectory._times.append(t)
+    trajectory._rates.append(rate)
     residual = 0.0
-    if n > 0:
-        integral = float(np.trapezoid(rates, times))
+    if trajectory.records:
+        integral = float(np.trapezoid(trajectory._rates, trajectory._times))
         residual = float(f_now - trajectory.records[0].f_eps + integral)
     min_ct, _ = cross_term_min(state.fields)
     w1 = None

@@ -308,7 +308,7 @@ def _gibbs_kernel(f, g, cost, eta: float):
     return np.exp(-tol / eta), np.exp(tol / eta)
 
 
-def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = MAX_SWEEPS) -> tuple[float, int]:
+def _entropic_cost(xa, wa, xb, wb, eta: float) -> tuple[float, int]:
     """Entropic transport cost between weighted atoms, cost |x - y|.
 
     Sinkhorn in scaling form, stabilized by absorption (Schmitzer, SIAM J.
@@ -320,10 +320,10 @@ def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = MAX_SWEEPS) -> tupl
     exp(+-ABSORB_LOG) it is absorbed into its potential, u = v = 1, and the
     array is refilled with C before K is rebuilt. It stops after a sweep in
     which no entry of eta log u or eta log v moved by more than STOP_ULPS
-    units of double rounding of max(1, max |f|, max |g|), or after `sweeps`
-    sweeps. The rule reads nothing but the iterates, and the iterates do not
-    depend on the run or the BLAS thread count, so neither does the sweep it
-    stops at: reruns and thread counts give the same bits. A cost of atoms
+    units of double rounding of max(1, max |f|, max |g|), or after
+    MAX_SWEEPS sweeps. The rule reads nothing but the iterates, and the
+    iterates do not depend on the run or the BLAS thread count, so neither
+    does the sweep it stops at: reruns and thread counts give the same bits. A cost of atoms
     to themselves converges far sooner by _self_cost.
     Returns (sum wa (f + eta log u) + sum wb (g + eta log v), sweeps used).
     """
@@ -339,7 +339,7 @@ def _entropic_cost(xa, wa, xb, wb, eta: float, sweeps: int = MAX_SWEEPS) -> tupl
     scalings = np.ones(len(wa) + len(wb))
     u, v = scalings[: len(wa)], scalings[len(wa) :]
     previous = np.empty_like(scalings)
-    for sweep in range(1, sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         np.copyto(previous, scalings)
         np.divide(1.0, kernel @ (v * wb), out=u)
         np.divide(1.0, kernel.T @ (u * wa), out=v)

@@ -129,30 +129,28 @@ def barenblatt_support_radius(m: float, d: int, t: float) -> float:
     """Edge of the support for m > 1; for m < 1, a fixed 200 times the
     profile scale sqrt(C/|k|) t^beta (see barenblatt_reference for the mass
     that radius leaves out)."""
-    alpha, beta, k = _barenblatt_exponents(m, d)
-    c = barenblatt_constant(m, d)
-    if m > 1.0:
-        return math.sqrt(c / k) * t**beta
-    scale = math.sqrt(c / abs(k)) * t**beta
-    return 200.0 * scale
+    _, beta, k = _barenblatt_exponents(m, d)
+    edge = math.sqrt(barenblatt_constant(m, d) / abs(k)) * t**beta
+    return edge if m > 1.0 else 200.0 * edge
 
 
 def barenblatt_reference(m: float, d: int, t: float) -> ReferenceDensity:
     alpha, beta, k = _barenblatt_exponents(m, d)
     c = barenblatt_constant(m, d)
     p = 1.0 / (m - 1.0)
+    # the support edge for m > 1, the profile scale for m < 1
+    edge = math.sqrt(c / abs(k)) * t**beta
     if m > 1.0:
-        half = math.sqrt(c / k) * t**beta * 1.05
+        half = edge * 1.05
     else:
         # half-width 200 profile scales; the mass beyond that radius, which
         # bounds what the box leaves out, is the same at every t and grows as
         # m falls: 5.3e-8 at m = 0.5, 2.0e-6 at m = 0.4 and 1.1e-5 at
         # m = 0.34 in d = 1, 1.6e-5 at m = 0.51 in d = 2
-        half = barenblatt_support_radius(m, d, t)
+        half = 200.0 * edge
     lo, hi = np.full(d, -half), np.full(d, half)
     cdf = None
     if d == 1:
-        edge = math.sqrt(c / abs(k)) * t**beta
 
         def cdf(xs):
             from scipy.special import betainc
@@ -251,9 +249,6 @@ class SteadyState:
 
     z: float
     reference: ReferenceDensity
-
-    def density(self, pts) -> np.ndarray:
-        return self.reference.pdf(pts)
 
 
 def steady_state(

@@ -71,7 +71,6 @@ def test_parse_serialize_round_trip_all_fields():
             "kind = bump",
             "effective_r = 5.0",
             "order = 4",
-            "truncation_radius_multiple = 8.0",
             "[flow]",
             "epsilon = 0.2, 0.1, 0.05",
             "beta = 0.4",
@@ -178,10 +177,6 @@ def test_cross_field_validation():
             )
         )
     assert any(m.startswith("[reference] kind = gaussian") for m in exc.value.messages)
-    # a Gaussian cut at 2 eps loses 4.6e-2 of its mass; the default 8 eps, 6.1e-15 in d = 5
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(base_config(kernel="kind = gaussian\ntruncation_radius_multiple = 2.0"))
-    assert any(m.startswith("[kernel] truncation_radius_multiple") for m in exc.value.messages)
     for d in range(2, 6):
         family = f"kind = heat\ndimension = {d}"
         parse_config_text(
@@ -199,10 +194,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error: unknown section [extra]" in capsys.readouterr().err
 
 
-def test_lossy_gaussian_truncation_exits_2(tmp_path, capsys):
-    text = base_config(kernel="kind = gaussian\ntruncation_radius_multiple = 2.0")
-    assert main(["run", "--config", write_config(tmp_path, text), "--quiet"]) == 2
-    assert "cuts 4.550e-02 of the gaussian's unit mass" in capsys.readouterr().err
+def test_fast_diffusion_barenblatt_start_exits_2_in_two_or_more_dimensions(tmp_path, capsys):
+    # in d >= 2 the rejection sampler stalls on the heavy-tailed profile, so
+    # such a start is a config error (exit 2), not a runtime one (exit 1)
+    def text(d):
+        return base_config(
+            family=f"kind = fast_diffusion\nm = 0.9\ndimension = {d}",
+            particles="n = 24\ninit = rejection",
+            initial="kind = barenblatt\nt0 = 0.05",
+            reference="kind = none",
+        )
+
+    parse_config_text(text(1))
+    for d in (2, 3):
+        assert main(["run", "--config", write_config(tmp_path, text(d)), "--quiet"]) == 2
+        assert (
+            "config error: [initial] kind = barenblatt of a fast_diffusion family requires "
+            f"[family] dimension = 1 (got {d}): rejection sampling stalls on its heavy tails"
+        ) in capsys.readouterr().err
 
 
 def test_rejected_config_writes_a_summary_only_where_asked(tmp_path, capsys, monkeypatch):
@@ -621,10 +630,10 @@ def test_first_error_message_for_a_bad_value(overrides, first_message):
 @pytest.mark.parametrize(
     "name, sha256",
     [
-        ("heat_convergence", "7dfa940f41f594206fea8f749ec4921256f954e8d077647344cb6e76da857d28"),
-        ("height_saturation", "f48a6c5fed80b2e42ece04f35bbed7fa98b35c8e8681a557e4f3ab4f9ba1cf49"),
-        ("pme_convergence", "e868029928c2053bda0def2b72a13a5c9d8ab248a201c6f2be3003f0a6ca9e9e"),
-        ("sample_gaussian", "d0440f01a1ae1d2331b08dc2ab4305ca71591d844e71769b49373566db7893e0"),
+        ("heat_convergence", "eed49955b2c2a5e527f2a6c17b3a2b812d2a9b10aec6b4631d2818c569a86bb2"),
+        ("height_saturation", "a99ce32bd53d8e0e3ca68fc851e8c01ab4e5a3939257d3df50abf65ce1d4fc35"),
+        ("pme_convergence", "615d3a944b5d7c59a9c86a0d96baa0252c1ca385eb9050bc3392ad6b87f12ae2"),
+        ("sample_gaussian", "98373bdbfa8edc8e446910043ece42b631f1f43fd50136e0ddb81a911b0cf3c6"),
     ],
 )
 def test_bundled_config_hashes_are_pinned(name, sha256):

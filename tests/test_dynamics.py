@@ -36,8 +36,8 @@ from blobflow.dynamics import (
 )
 
 
-def heat_reg(epsilon: float) -> RegularizedEnergy:
-    return RegularizedEnergy(EnergyFamily.heat(), epsilon**0.5)
+def heat_reg(epsilon: float, d: int = 1) -> RegularizedEnergy:
+    return RegularizedEnergy(EnergyFamily.heat(d), epsilon**0.5)
 
 
 def gaussian_cloud(n: int = 64, seed: int = 0) -> ParticleEnsemble:
@@ -215,7 +215,7 @@ def test_one_prox_solve_per_stage_and_none_per_record(family, monkeypatch):
     spec = RunSpec(
         reg=reg,
         kernel=MollifierKernel.bump(0.1, dimension=1),
-        velocity=VelocityConfig.none(),
+        velocity=VelocityConfig(),
         initial=two_clusters(),
         t_final=0.004,
         dt=0.001,
@@ -288,7 +288,7 @@ def test_a_released_window_is_rebuilt_with_the_same_bits(kind, d):
     else:
         k = MollifierKernel.bump(0.3, dimension=d)
     spec = RunSpec(
-        reg=heat_reg(0.2), kernel=k, velocity=VelocityConfig.none(), initial=init, t_final=0.01
+        reg=heat_reg(0.2, d), kernel=k, velocity=VelocityConfig(), initial=init, t_final=0.01
     )
     state = make_state(spec, init)
     assert state.fields.window is None
@@ -332,15 +332,13 @@ def test_velocity_quadratic_and_validation():
     pts = np.array([[1.0, -2.0], [0.5, 0.5]])
     np.testing.assert_allclose(v.evaluate(pts), pts)
     v.validate_gradient(pts)
-    bad = VelocityConfig.gradient_of_potential(
-        lambda p: 0.5 * np.sum(p**2, axis=1), grad=lambda p: 3.0 * p
-    )
+    bad = VelocityConfig(potential=lambda p: 0.5 * np.sum(p**2, axis=1), grad=lambda p: 3.0 * p)
     with pytest.raises(ValueError, match="finite differences"):
         bad.validate_gradient(pts)
 
 
 def test_velocity_none_is_zero_with_zero_bound():
-    v = VelocityConfig.none()
+    v = VelocityConfig()
     pts = np.linspace(-2, 2, 7)[:, None]
     assert np.all(v.evaluate(pts) == 0.0)
     assert v.estimate_w1inf(pts) == 0.0
@@ -392,7 +390,7 @@ def test_stages_never_build_the_node_array(d):
     # is built when a diagnostic reads it
     init = ParticleEnsemble(np.random.default_rng(d).normal(size=(16, d)))
     spec = RunSpec(
-        reg=heat_reg(0.2),
+        reg=heat_reg(0.2, d),
         kernel=MollifierKernel.gaussian(0.2, dimension=d),
         velocity=VelocityConfig.quadratic(),
         initial=init,
@@ -442,6 +440,10 @@ def test_runspec_validation():
         dataclasses.replace(spec, dt=0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(spec, record_every=0)
+    # the stability constant, and the auto step, take d from the family
+    plane = ParticleEnsemble(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="dimension_hint 1 is not the cloud's dimension 2"):
+        dataclasses.replace(spec, initial=plane)
 
 
 def test_zero_horizon_run_records_the_initial_state():
@@ -537,7 +539,7 @@ def _fast_diffusion_spec() -> RunSpec:
     return RunSpec(
         reg=RegularizedEnergy(EnergyFamily.fast_diffusion(0.5), eps**0.5),
         kernel=MollifierKernel.gaussian(eps, dimension=1),
-        velocity=VelocityConfig.none(),
+        velocity=VelocityConfig(),
         initial=prepare_initial_particles(barenblatt_reference(0.5, 1, 0.5), 64, seed=0),
         t_final=0.005,
         dt=0.001,
@@ -614,7 +616,7 @@ def heat_run():
     spec = RunSpec(
         reg=reg,
         kernel=k,
-        velocity=VelocityConfig.none(),
+        velocity=VelocityConfig(),
         initial=gaussian_cloud(48),
         t_final=0.1,
         dt=2e-3,

@@ -222,12 +222,13 @@ def test_self_cost_on_faint_atoms(eta, absorbs):
     assert used < 100
 
 
-def test_self_cost_matches_two_sided_sinkhorn_run_long():
+def test_self_cost_matches_two_sided_sinkhorn_run_long(monkeypatch):
     # on this cloud the two-sided update needs more than the 500-sweep cap
     x = np.random.default_rng(0).normal(size=(400, 2))
     w = np.full(400, 1.0 / 400)
     eta = 0.01 * float(np.linalg.norm(np.full(2, 20.0)))
-    plain, plain_used = _entropic_cost(x, w, x, w, eta, sweeps=20000)
+    monkeypatch.setattr(ensemble, "MAX_SWEEPS", 20000)
+    plain, plain_used = _entropic_cost(x, w, x, w, eta)
     ours, used = _self_cost(x, w, eta)
     assert 500 < plain_used < 20000
     assert used < 100

@@ -207,7 +207,7 @@ def test_steady_state_heat_is_standard_normal():
     ss = steady_state(EnergyFamily.heat(), quad_potential, BOX1)
     assert ss.z == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-6)
     xs = np.linspace(-3, 3, 61)[:, None]
-    np.testing.assert_allclose(ss.density(xs), stats.norm.pdf(xs[:, 0]), atol=1e-6)
+    np.testing.assert_allclose(ss.reference.pdf(xs), stats.norm.pdf(xs[:, 0]), atol=1e-6)
 
 
 def test_steady_state_pme_parabola():
@@ -215,8 +215,8 @@ def test_steady_state_pme_parabola():
     assert ss.z == pytest.approx(0.5 * 3 ** (2 / 3), abs=1e-6)
     xs = np.linspace(-3, 3, 801)[:, None]
     expect = np.maximum(ss.z - 0.5 * xs[:, 0] ** 2, 0.0) / 2.0
-    np.testing.assert_allclose(ss.density(xs), expect, atol=1e-9)
-    mass = np.trapezoid(ss.density(xs), xs[:, 0])
+    np.testing.assert_allclose(ss.reference.pdf(xs), expect, atol=1e-9)
+    mass = np.trapezoid(ss.reference.pdf(xs), xs[:, 0])
     assert mass == pytest.approx(1.0, abs=1e-5)
 
 
@@ -228,7 +228,7 @@ def test_steady_state_height_patch():
     )
     assert ss.z == pytest.approx(0.125, abs=1e-4)
     xs = np.array([[-0.6], [-0.4], [0.0], [0.4], [0.6]])
-    np.testing.assert_allclose(ss.density(xs), [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(ss.reference.pdf(xs), [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-9)
 
 
 def test_steady_state_fast_diffusion_exists():
@@ -237,10 +237,10 @@ def test_steady_state_fast_diffusion_exists():
     ss = steady_state(EnergyFamily.fast_diffusion(0.5), quad_potential, BOX1)
     assert ss.z < 0.0
     xs = np.linspace(BOX1[0][0], BOX1[1][0], 40001)[:, None]
-    mass = np.trapezoid(ss.density(xs), xs[:, 0])
+    mass = np.trapezoid(ss.reference.pdf(xs), xs[:, 0])
     assert mass == pytest.approx(1.0, abs=2e-3)
     np.testing.assert_allclose(
-        ss.density(np.array([[0.0]])), (0.0 - ss.z) ** -2, rtol=1e-12
+        ss.reference.pdf(np.array([[0.0]])), (0.0 - ss.z) ** -2, rtol=1e-12
     )
 
 
