@@ -192,10 +192,14 @@ def parse_config_text(text: str) -> SimConfig:
                 errors.append(f"[family] m is not a parameter of kind = {kind}")
 
     reference, initial = v["reference_kind"], v["initial_kind"]
-    if reference == "self_similar" and initial not in ("heat_kernel", "barenblatt"):
+    # self_similar continues the start in time: exact only drift-free from the own start
+    own_start = {"heat": "heat_kernel", **dict.fromkeys(POWER_FAMILIES, "barenblatt")}
+    exact = (v["velocity_kind"], initial) == ("none", own_start.get(v["family_kind"]))
+    if reference == "self_similar" and not exact:
         errors.append(
-            "[reference] kind = self_similar requires [initial] kind heat_kernel "
-            "or barenblatt (the reference continues the initial profile in time)"
+            "[reference] kind = self_similar requires [velocity] kind = none and the "
+            "family's own start: [initial] kind = heat_kernel for heat, barenblatt for "
+            "porous_medium and fast_diffusion (height_constraint has none)"
         )
     if reference == "steady_state" and v["velocity_kind"] == "none":
         errors.append("[reference] kind = steady_state requires a confining [velocity]")
@@ -279,7 +283,10 @@ def _kernel(cfg: SimConfig, epsilon: float):
     )
 
 
-def _initial_density(cfg: SimConfig):
+def _initial_density(cfg: SimConfig, t: float = 0.0):
+    """The [initial] profile at run time t: heat_kernel and barenblatt are
+    self-similar profiles at t0 + t, so at t > 0 they are the exact solution
+    from the start at t = 0 (t0 + 0.0 is t0); gaussian and uniform ignore t."""
     from .reference import (
         barenblatt_reference,
         gaussian_reference,
@@ -289,9 +296,9 @@ def _initial_density(cfg: SimConfig):
 
     d = cfg.dimension
     if cfg.initial_kind == "heat_kernel":
-        return heat_kernel_reference(d, cfg.initial_t0)
+        return heat_kernel_reference(d, cfg.initial_t0 + t)
     if cfg.initial_kind == "barenblatt":
-        return barenblatt_reference(cfg.m, d, cfg.initial_t0)
+        return barenblatt_reference(cfg.m, d, cfg.initial_t0 + t)
     if cfg.initial_kind == "gaussian":
         return gaussian_reference(d, cfg.initial_sigma, cfg.initial_center)
     return uniform_reference(d, cfg.initial_half_width, cfg.initial_center)
@@ -302,21 +309,13 @@ def _reference(cfg: SimConfig, family):
     import numpy as np
 
     from .dynamics import VelocityConfig
-    from .reference import (
-        barenblatt_reference,
-        gaussian_reference,
-        heat_kernel_reference,
-        steady_state,
-    )
+    from .reference import gaussian_reference, steady_state
 
     d = cfg.dimension
     if cfg.reference_kind == "none":
         return None
     if cfg.reference_kind == "self_similar":
-        t0 = cfg.initial_t0
-        if cfg.family_kind == "heat":
-            return lambda t: heat_kernel_reference(d, t0 + t)
-        return lambda t: barenblatt_reference(cfg.m, d, t0 + t)
+        return lambda t: _initial_density(cfg, t)
     if cfg.reference_kind == "gaussian":
         ref = gaussian_reference(d, cfg.reference_sigma)
         return lambda t: ref
@@ -442,9 +441,8 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
 
             trajectory = dyn.run(spec, on_record=on_record)
     except Exception as exc:
-        summary["error"] = f"{type(exc).__name__}: {exc}"
         summary["wall_time_s"] = time.perf_counter() - started
-        _write_summary(out_dir, summary)
+        _write_summary(out_dir, summary, exc)
         raise
     wall = time.perf_counter() - started
     final = trajectory.records[-1]
@@ -471,9 +469,12 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
     return summary, trajectory
 
 
-def _write_summary(out_dir: str, summary: dict) -> None:
+def _write_summary(out_dir: str, summary: dict, exc: Optional[Exception] = None) -> None:
     """Write summary.json, with the process's peak resident set so far as
-    peak_rss_mib (ru_maxrss is in KiB on Linux)."""
+    peak_rss_mib (ru_maxrss is in KiB on Linux) and, when exc is given, the
+    failure as error = "<exception type>: <message>"."""
+    if exc is not None:
+        summary["error"] = f"{type(exc).__name__}: {exc}"
     summary["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -507,8 +508,7 @@ def cmd_converge(cfg: SimConfig, out_dir: str, quiet: bool) -> int:
                 fh.write(",".join(repr(float(c)) for c in cells) + "\n")
                 fh.flush()
     except Exception as exc:
-        summary["error"] = f"{type(exc).__name__}: {exc}"
-        _write_summary(out_dir, summary)
+        _write_summary(out_dir, summary, exc)
         raise
 
     finals = [row["w1"][-1] for row in rows]
@@ -578,7 +578,7 @@ def main(argv=None) -> int:
             # a config rejected before any run writes a summary only where the caller points
             if out_dir:
                 os.makedirs(out_dir, exist_ok=True)
-                _write_summary(out_dir, {"error": f"{type(exc).__name__}: {exc}"})
+                _write_summary(out_dir, {}, exc)
             raise
         out_dir = out_dir or cfg.output_dir
         if args.command == "converge":

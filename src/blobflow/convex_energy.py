@@ -250,7 +250,9 @@ def _stationary(family: EnergyFamily, alpha: float, beta: float, r):
     if family.kind == POROUS_MEDIUM:
         live = r > 0.0  # the root is 0 where r <= 0
         rhs = r[live]
-        lo, hi = np.zeros_like(rhs), rhs / alpha
+        # alpha j and c j^(m-1) are both >= 0, so the root lies below each bound
+        with np.errstate(over="ignore"):
+            lo, hi = np.zeros_like(rhs), np.minimum(rhs / alpha, (rhs / c) ** (1.0 / (m - 1.0)))
     else:  # fast diffusion: (-c / alpha)^(1 / (2 - m)) is the root at r = 0
         live = slice(None)
         rhs = r

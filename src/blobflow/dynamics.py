@@ -261,15 +261,15 @@ def entropy_mollified(fields: FieldSnapshot) -> float:
     return float(np.sum(xlogx(fields.mu)) * fields.grid.cell)
 
 
-def cross_term_min(fields: FieldSnapshot) -> tuple[float, float]:
-    """(min over interior nodes of grad mu . grad q, grid sum of the same).
+def cross_term_min(fields: FieldSnapshot) -> float:
+    """The minimum of grad mu . grad q over the interior nodes, or over every
+    node of a grid with no interior.
 
     The product equals f_reg''(mu) |grad mu|^2 >= 0 in exact arithmetic.
     """
     dot = np.einsum("gi,gi->g", fields.grad_mu, fields.grad_q)
     interior = fields.grid.interior_mask()
-    min_val = float(dot[interior].min()) if interior.any() else float(dot.min())
-    return min_val, float(dot.sum() * fields.grid.cell)
+    return float(dot[interior].min()) if interior.any() else float(dot.min())
 
 
 def dissipation_residual(window: Sequence["DiagnosticsRecord"]) -> float:
@@ -390,15 +390,14 @@ class SimState:
 @dataclass
 class Trajectory:
     """The diagnostics records of a run and its last cloud; callers that
-    want every recorded cloud collect them through run's on_record."""
+    want every recorded cloud collect them through run's on_record. The
+    records carry t and the dissipation rate, so they are the history the
+    dissipation residual integrates over."""
 
     records: list[DiagnosticsRecord] = field(default_factory=list)
     final: Optional[ParticleEnsemble] = None
     c_eps: float = 0.0
     dt: float = 0.0
-    # t and dissipation rate of each record, for the residual quadrature
-    _times: list[float] = field(default_factory=list, repr=False)
-    _rates: list[float] = field(default_factory=list, repr=False)
 
 
 def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
@@ -481,33 +480,25 @@ def _dissipation_rate(state: SimState) -> float:
 
 
 def _record(state: SimState, trajectory: Trajectory, on_record=None) -> None:
-    """Append one record. Its diss_residual has the bits of
-    dissipation_residual over every record so far."""
+    """Append one record. Its diss_residual is dissipation_residual over
+    the records so far and this one."""
     spec = state.spec
     t = state.ensemble.time
-    f_now = energy_F_eps(state.fields)
-    rate = _dissipation_rate(state)
-    trajectory._times.append(t)
-    trajectory._rates.append(rate)
-    residual = 0.0
-    if trajectory.records:
-        integral = float(np.trapezoid(trajectory._rates, trajectory._times))
-        residual = float(f_now - trajectory.records[0].f_eps + integral)
-    min_ct, _ = cross_term_min(state.fields)
     w1 = None
     if spec.reference is not None:
         w1 = w1_vs_density(state.ensemble, spec.reference(t), spec.w1_resolution)
     rec = DiagnosticsRecord(
         t=t,
-        f_eps=f_now,
+        f_eps=energy_F_eps(state.fields),
         entropy_moll=entropy_mollified(state.fields),
         m2=second_moment(state.ensemble),
-        diss_residual=residual,
-        min_cross_term=min_ct,
+        diss_residual=0.0,
+        min_cross_term=cross_term_min(state.fields),
         lipschitz_estimate=trajectory.c_eps,
         w1_to_reference=w1,
-        dissipation_rate=rate,
+        dissipation_rate=_dissipation_rate(state),
     )
+    rec = replace(rec, diss_residual=dissipation_residual([*trajectory.records, rec]))
     trajectory.records.append(rec)
     trajectory.final = state.ensemble
     if on_record is not None:

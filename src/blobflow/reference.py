@@ -308,9 +308,11 @@ def steady_state(
     for _ in range(200):
         mid = 0.5 * (z_lo + z_hi)
         if mass(mid) < 1.0:
-            z_lo = mid
+            z_lo, old = mid, z_lo
         else:
-            z_hi = mid
+            z_hi, old = mid, z_hi
+        if mid == old:  # the bracket is a fixed point: the rest would repeat this
+            break
     z = 0.5 * (z_lo + z_hi)
 
     def pdf(query):

@@ -220,12 +220,20 @@ def test_rejected_config_writes_a_summary_only_where_asked(tmp_path, capsys, mon
     # own [output] directory ignored, so only --out or the environment can
     # name one
     monkeypatch.chdir(tmp_path)
+    # the self-similar reference is the start continued in time, so it is
+    # refused wherever that is not the exact solution
+    self_similar = {"reference": "kind = self_similar", "initial": "kind = heat_kernel"}
+    rule = "[reference] kind = self_similar requires [velocity] kind = none and the family's own"
     cases = [
         ("d3", {"family": "kind = heat\ndimension = 3"}, "converge", "[particles] init = quantile"),
         ("pair", {"flow": "epsilon = 0.2, 0.1\nt_final = 0.02"}, "run", "run and sample"),
         ("exponent", {"family": "kind = porous_medium\nm = 0.5"}, "run", "[family] porous_medium"),
         ("beta", {"flow": "epsilon = 0.2\nbeta = 1.0\nt_final = 0.02"}, "converge", "[flow] beta"),
         ("r", {"kernel": "kind = gaussian\neffective_r = 1.5"}, "converge", "[kernel] effective_r"),
+        ("pme", {**self_similar, "family": "kind = porous_medium\nm = 2.0"}, "converge", rule),
+        ("fd", {**self_similar, "family": "kind = fast_diffusion\nm = 0.5"}, "run", rule),
+        ("height", {**self_similar, "family": "kind = height_constraint"}, "converge", rule),
+        ("confined", {**self_similar, "velocity": "kind = quadratic"}, "run", rule),
     ]
     for name, overrides, env_command, first in cases:
         path = write_config(tmp_path, base_config(**overrides), f"{name}.ini")

@@ -126,6 +126,16 @@ def test_prox_heat_far_below_zero(delta):
     np.testing.assert_allclose(b[normal], np.exp(y[normal]), rtol=1e-12, atol=0.0)
 
 
+def test_prox_pme3_converges_at_any_density():
+    # the root of b + c b^2 = a sits near sqrt(a / c), far below a: Newton
+    # from the top of [0, a] only halves its iterate, for about as many
+    # steps as its budget once a passes 1e120
+    delta = 0.01
+    a = np.geomspace(1e20, 1e300, 29)
+    b = np.asarray(prox(PME3, delta, a))
+    np.testing.assert_allclose(b + 1.5 * delta * b**2, a, rtol=1e-11, atol=0.0)
+
+
 def test_newton_falls_back_to_bisection_on_infinite_and_nan_candidates():
     # g = (x - 2)^3 - 1/2 on [0, 4]: at the first midpoint g' = 0, so the
     # Newton candidate is +inf on lane 0; lane 1 reports g' = NaN there

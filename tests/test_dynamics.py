@@ -244,15 +244,14 @@ def test_cross_term_nonnegative_up_to_roundoff():
     k = MollifierKernel.gaussian(0.1, dimension=1)
     e = gaussian_cloud(96)
     f = compute_fields(e, reg, k, build_grid(e, 0.1))
-    min_val, integral = cross_term_min(f)
+    min_val = cross_term_min(f)
     scale = float(
         np.max(np.linalg.norm(f.grad_mu, axis=1) * np.linalg.norm(f.grad_q, axis=1))
     )
     assert min_val >= -1e-10 * max(scale, 1.0)
-    assert integral >= 0.0
-    # the integral is the grid sum of the same dot product
+    # the grid sum of the same dot product, the integral of f_reg''(mu) |grad mu|^2
     dot = np.einsum("gi,gi->g", f.grad_mu, f.grad_q)
-    assert integral == pytest.approx(float(dot.sum() * f.grid.cell))
+    assert float(dot.sum() * f.grid.cell) >= 0.0
 
 
 # ---------------------------------------------------------------------------

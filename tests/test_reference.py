@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from blobflow import reference
 from blobflow.convex_energy import EnergyFamily
+from blobflow.mollifier import QuadratureGrid
 from blobflow.reference import (
     DeltaSchedule,
     barenblatt,
@@ -258,6 +260,49 @@ def test_steady_state_needs_confinement():
     flat = lambda p: np.zeros(p.shape[0])
     with pytest.raises(ValueError):
         steady_state(EnergyFamily.heat(), flat, BOX1)
+
+
+def _z_after_200_bisections(family, box, resolution):
+    """Z of steady_state on a 1d box by all 200 steps of its bisection."""
+    grid = QuadratureGrid(box[0], box[1], (resolution,))
+    v = quad_potential(grid.nodes)
+
+    def mass(z):
+        with np.errstate(all="ignore"):
+            total = float(np.sum(base_conjugate_prime(family, z - v)) * grid.cell)
+        return total if np.isfinite(total) else np.inf
+
+    z_lo, z_hi = float(v.min()) - 10.0, float(v.max()) + 10.0
+    for _ in range(200):
+        mid = 0.5 * (z_lo + z_hi)
+        if mass(mid) < 1.0:
+            z_lo = mid
+        else:
+            z_hi = mid
+    return 0.5 * (z_lo + z_hi)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        EnergyFamily.heat(),
+        EnergyFamily.porous_medium(2.0),
+        EnergyFamily.fast_diffusion(0.5),
+        EnergyFamily.height_constraint(),
+    ],
+    ids=lambda f: f.kind,
+)
+def test_steady_state_bisection_stops_at_its_fixed_point(family, monkeypatch):
+    # the box and resolution of every steady_state reference of the CLI
+    calls = []
+    profile = reference.base_conjugate_prime
+    monkeypatch.setattr(
+        reference, "base_conjugate_prime", lambda *a: calls.append(1) or profile(*a)
+    )
+    z = steady_state(family, quad_potential, BOX1, resolution=4096).z
+    assert z == _z_after_200_bisections(family, BOX1, 4096)
+    # two bracket checks and well under 200 bisection steps
+    assert len(calls) < 100
 
 
 def test_steady_state_reference_has_cdf():
