@@ -781,9 +781,10 @@ def test_importing_the_package_loads_no_scipy():
 
 
 def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
-    # kernel norms, Barenblatt constants and erf are numpy/math;
-    # scipy.integrate costs about 0.3 s of import and scipy.special as much
-    # again, which only the d = 1 Barenblatt CDF (betainc) still pays
+    # kernel norms, Barenblatt constants, erf and the fast-diffusion
+    # Barenblatt CDF are numpy/math; scipy.integrate costs about 0.3 s of
+    # import and scipy.special as much again, which only the d = 1
+    # porous-medium Barenblatt CDF (betainc) still pays
     heat2d = write_config(
         tmp_path,
         base_config(
@@ -807,6 +808,16 @@ def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
         ),
         "barenblatt.ini",
     )
+    fast = write_config(
+        tmp_path,
+        base_config(
+            family="kind = fast_diffusion\nm = 0.5\ndimension = 1",
+            particles="n = 32",
+            initial="kind = barenblatt\nt0 = 0.5",
+            reference="kind = self_similar",
+        ),
+        "fast.ini",
+    )
     run = (
         "import sys\nfrom blobflow import cli\n"
         "assert cli.main(['run', '--config', {cfg!r}, '--out', {out!r}, '--quiet']) == 0\n"
@@ -818,6 +829,8 @@ def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
     assert not {"scipy.integrate", "scipy.special"} & loaded
     loaded = _modules_loaded_by(run.format(cfg=barenblatt, out=str(tmp_path / "b")))
     assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+    loaded = _modules_loaded_by(run.format(cfg=fast, out=str(tmp_path / "d")))
+    assert not {"scipy.integrate", "scipy.special"} & loaded
 
     # the solve itself imports nothing: a module loaded lazily inside it
     # (numpy.polynomial pulls in numpy.ma) would be timed as solve work

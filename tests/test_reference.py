@@ -5,14 +5,14 @@ import pytest
 from scipy import stats
 
 from blobflow import reference
-from blobflow.convex_energy import EnergyFamily
+from blobflow.convex_energy import ConvergenceError, EnergyFamily
+from blobflow.ensemble import prepare_initial_particles, quantiles_from_cdf
 from blobflow.mollifier import QuadratureGrid
 from blobflow.reference import (
     DeltaSchedule,
     barenblatt,
     barenblatt_constant,
     barenblatt_reference,
-    barenblatt_support_radius,
     base_conjugate_prime,
     gaussian_reference,
     heat_kernel_reference,
@@ -90,11 +90,10 @@ def test_barenblatt_constant_against_quadrature(m, d):
 
 @pytest.mark.parametrize("m,d", [(2.0, 1), (3.0, 1), (2.0, 2), (0.5, 1)])
 def test_barenblatt_mass_is_one(m, d):
+    # over the reference box: past the support edge for m > 1, 200 profile
+    # scales of the fat tails for m < 1
     t = 0.8
-    if m > 1:
-        rad = barenblatt_support_radius(m, d, t) * 1.01
-    else:
-        rad = 4000.0  # fat tails
+    rad = barenblatt_reference(m, d, t).box[1][0]
     s = np.linspace(0.0, rad, 400_001)
     pts = np.zeros((s.size, d))
     pts[:, 0] = s
@@ -133,10 +132,11 @@ def test_barenblatt_self_similar_rescaling():
 
 
 def test_barenblatt_support_m_greater_one():
+    # the box reaches 1.05 times past the support edge
     m, d, t = 2.0, 1, 0.5
-    r = barenblatt_support_radius(m, d, t)
+    r = barenblatt_reference(m, d, t).box[1][0]
     inside = np.array([[0.0], [0.9 * r]])
-    outside = np.array([[1.01 * r], [5.0]])
+    outside = np.array([[r], [1.01 * r], [5.0]])
     assert np.all(barenblatt(m, d, t, inside) > 0)
     np.testing.assert_array_equal(barenblatt(m, d, t, outside), 0.0)
 
@@ -152,6 +152,54 @@ def test_barenblatt_reference_cdf_matches_quadrature(m):
     got = ref.cdf(probe)
     expect = np.interp(probe, xs[1:], cdf_quad)
     np.testing.assert_allclose(got, expect, atol=3e-7)
+
+
+@pytest.mark.parametrize("b", [1 + 1e-7, 1.05, 1.5, 2.5, 10.0, 100.0, 1e3, 1e4])
+def test_half_beta_matches_betainc(b):
+    # the fast-diffusion CDF's I_x(1/2, b) against scipy, imported here only
+    from scipy.special import betainc
+
+    edges = [0.0, 1e-300, 1 - 1e-12, 1 - 2.0**-53, 1.0]
+    xs = np.concatenate([np.linspace(0.0, 1.0, 20_001)[1:-1], edges])
+    got = reference._half_beta(b, xs)
+    want = betainc(0.5, b, xs)
+    assert got[-5] == 0.0 and got[-1] == 1.0
+    np.testing.assert_allclose(got, want, rtol=1e-14 if b <= 100 else 1e-13, atol=0)
+    # betainc loses a subnormal x (11% low at 5e-324); below 1e-300 the value
+    # is 2 sqrt(x) / B(1/2, b) to rounding, so it scales exactly as sqrt(x)
+    tiny = reference._half_beta(b, np.array([5e-324]))[0]
+    assert tiny == pytest.approx(betainc(0.5, b, 2.0**-1000) * 2.0**-37, rel=1e-14)
+    # each lane's value is what it would be alone
+    alone = [reference._half_beta(b, xs[i : i + 1])[0] for i in range(0, xs.size, 1999)]
+    np.testing.assert_array_equal(alone, got[::1999])
+
+
+def test_half_beta_raises_on_a_lane_that_cannot_converge():
+    with pytest.raises(ConvergenceError):
+        reference._half_beta(1.5, np.array([0.25, np.nan, 0.75]))
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_fast_diffusion_start_keeps_the_betainc_cloud(n):
+    # the golden fast_diffusion case (N = 128), the fd_tails benchmark (512)
+    # and the dynamics tests (64) start from this cloud: the numpy CDF must
+    # bisect to the same bits as scipy's
+    from scipy.special import betainc
+
+    m, t = 0.5, 0.5
+    ref = barenblatt_reference(m, 1, t)
+    alpha = 1 / (m + 1)
+    edge = math.sqrt(barenblatt_constant(m, 1) / (alpha * (1 - m) / (2 * m))) * t**alpha
+    b = -1 / (m - 1) - 0.5
+
+    def betainc_cdf(xs):
+        u = np.asarray(xs, dtype=float) / edge
+        return 0.5 * (1.0 + np.sign(u) * betainc(0.5, b, u * u / (1.0 + u * u)))
+
+    levels = (np.arange(n) + 0.5) / n
+    want = quantiles_from_cdf(betainc_cdf, ref.box[0][0], ref.box[1][0], levels)
+    got = prepare_initial_particles(ref, n).positions[:, 0]
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
