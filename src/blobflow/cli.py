@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import os
@@ -22,6 +21,16 @@ import sys
 import time
 from dataclasses import dataclass, make_dataclass, replace
 from typing import Optional
+
+# CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before): hashlib's
+# would map OpenSSL's libcrypto, about 3.6 MiB of resident set, for one digest
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 FAMILY_KINDS = ("heat", "porous_medium", "fast_diffusion", "height_constraint")
 POWER_FAMILIES = ("porous_medium", "fast_diffusion")
@@ -261,7 +270,7 @@ def serialize_config(cfg: SimConfig) -> str:
 
 
 def config_hash(cfg: SimConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+    return _sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +419,8 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
     """One simulation with streamed diagnostics; returns (summary, trajectory).
 
     Any failure once out_dir exists, set-up included, writes summary.json
-    with the error and re-raises.
+    with the error and re-raises; a failure after the first record also
+    writes the last recorded cloud as snapshot_last.csv.
     """
     from . import dynamics as dyn
     from .ensemble import save_snapshot
@@ -423,6 +433,7 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
         "outputs": [],
     }
     started = time.perf_counter()
+    last = None  # the cloud of the latest record
     try:
         spec = build_runspec(cfg, epsilon)
         summary["delta"] = spec.reg.delta
@@ -436,12 +447,17 @@ def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
             diag.flush()
 
             def on_record(rec, ens):
+                nonlocal last
                 diag.write(rec.csv_row() + "\n")
                 diag.flush()
+                last = ens
 
             trajectory = dyn.run(spec, on_record=on_record)
     except Exception as exc:
         summary["wall_time_s"] = time.perf_counter() - started
+        if last is not None:
+            save_snapshot(last, os.path.join(out_dir, "snapshot_last.csv"))
+            summary["outputs"].append("snapshot_last.csv")
         _write_summary(out_dir, summary, exc)
         raise
     wall = time.perf_counter() - started

@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
@@ -39,9 +38,34 @@ _WINDOW_BLOCK = 2**17
 # particles per block of the separable (per-axis factor) path
 _FACTOR_BLOCK = 64
 
-# Gauss-Legendre rule on [-1, 1] for the panels of kernel_norms and
-# convex_energy.h1_density_quadrature
-_PANEL_NODES, _PANEL_WEIGHTS = leggauss(40)
+# 40-point Gauss-Legendre rule on [-1, 1] for the panels of kernel_norms and
+# convex_energy.h1_density_quadrature: the positive half of
+# numpy.polynomial.legendre.leggauss(40), whose output is exactly symmetric,
+# frozen so that no import runs its LAPACK eigensolve
+_HALF_RULE = np.array([
+    (0.038772417506050816, 0.07750594797842451),
+    (0.11608407067525521, 0.07703981816424763),
+    (0.1926975807013711, 0.07611036190062598),
+    (0.2681521850072537, 0.07472316905796794),
+    (0.3419940908257585, 0.07288658239580377),
+    (0.413779204371605, 0.07061164739128656),
+    (0.4830758016861787, 0.06791204581523368),
+    (0.5494671250951282, 0.06480401345660076),
+    (0.6125538896679802, 0.061306242492928834),
+    (0.6719566846141796, 0.05743976909939129),
+    (0.7273182551899271, 0.0532278469839367),
+    (0.7783056514265194, 0.04869580763507193),
+    (0.8246122308333117, 0.04387090818567321),
+    (0.8659595032122595, 0.03878216797447219),
+    (0.9020988069688742, 0.03346019528254789),
+    (0.9328128082786765, 0.027937006980023434),
+    (0.9579168192137917, 0.022245849194166653),
+    (0.9772599499837743, 0.016421058381906828),
+    (0.990726238699457, 0.010498284531153814),
+    (0.9982377097105591, 0.004521277098536349),
+])
+_PANEL_NODES = np.concatenate([-_HALF_RULE[::-1, 0], _HALF_RULE[:, 0]])
+_PANEL_WEIGHTS = np.concatenate([_HALF_RULE[::-1, 1], _HALF_RULE[:, 1]])
 
 
 def _surface_area(d: int) -> float:

@@ -365,6 +365,10 @@ def test_non_finite_velocity_exits_1_and_keeps_partial_outputs(tmp_path, capsys,
     header, rows = read_rows(out / "diagnostics.csv")
     assert header == DIAG_HEADER
     assert [float(row[0]) for row in rows] == [0.0]
+    # the first step failed, so the last good cloud is the t = 0 record's
+    last = (out / "snapshot_last.csv").read_bytes()
+    assert last == (out / "snapshot_initial.csv").read_bytes()
+    assert "snapshot_last.csv" in summary["outputs"]
 
 
 def test_newton_non_convergence_exits_1_and_keeps_partial_outputs(tmp_path, capsys, monkeypatch):
@@ -382,6 +386,9 @@ def test_newton_non_convergence_exits_1_and_keeps_partial_outputs(tmp_path, caps
     assert not (out / "snapshot_final.csv").exists()
     header, rows = read_rows(out / "diagnostics.csv")
     assert header == DIAG_HEADER and rows == []
+    # the first stage failed before any record: there is no last cloud
+    assert not (out / "snapshot_last.csv").exists()
+    assert "snapshot_last.csv" not in summary["outputs"]
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +660,37 @@ def test_bundled_config_hashes_are_pinned(name, sha256):
     command_config("converge" if name.endswith("_convergence") else "sample", cfg)
 
 
+def test_config_hash_is_the_hashlib_digest():
+    # config_hash takes CPython's built-in SHA-256; where neither _sha2 nor
+    # _sha256 imports, it falls back to hashlib, with the same digest
+    import hashlib
+
+    paths = sorted(str(p) for p in (ROOT / "configs").glob("*.ini"))
+    expected = [
+        hashlib.sha256(serialize_config(parse_config(p)).encode("utf-8")).hexdigest()
+        for p in paths
+    ]
+    assert [config_hash(parse_config(p)) for p in paths] == expected
+    script = (
+        "import sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name in ('_sha2', '_sha256'):\n"
+        "            raise ImportError(name)\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "import hashlib\n"
+        "from blobflow import cli\n"
+        "assert cli._sha256 is hashlib.sha256\n"
+        f"for p in {paths!r}:\n"
+        "    print(cli.config_hash(cli.parse_config(p)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == expected
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     # --threads sets the thread-pool variables, which numpy reads on import
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -843,6 +881,46 @@ def test_runs_load_scipy_only_where_a_closed_form_needs_it(tmp_path):
         "loaded = set(sys.modules) - before"
     )
     assert _modules_loaded_by(solve) == set()
+
+
+def test_d1_runs_map_no_openssl_and_load_no_numpy_polynomial(tmp_path):
+    # the config digest is CPython's built-in SHA-256 and the Gauss-Legendre
+    # panels a frozen table, so neither hashlib's OpenSSL (_hashlib) nor
+    # numpy.polynomial (leggauss, a LAPACK eigensolve) is loaded. Runs that
+    # still load both: rejection starts (numpy.random imports secrets, which
+    # imports hmac and so _hashlib) and d = 1 porous-medium Barenblatt
+    # starts (scipy.special, for betainc, imports both).
+    heavy = {"_hashlib", "numpy.polynomial"}
+    script = (
+        "import sys\n"
+        "from blobflow import cli, convex_energy, dynamics, ensemble, mollifier, reference\n"
+        "loaded = list(sys.modules)"
+    )
+    assert not heavy & _modules_loaded_by(script)
+    fast = write_config(
+        tmp_path,
+        base_config(
+            family="kind = fast_diffusion\nm = 0.5\ndimension = 1",
+            particles="n = 32",
+            initial="kind = barenblatt\nt0 = 0.5",
+            reference="kind = self_similar",
+        ),
+        "fast.ini",
+    )
+    runs = [
+        ("run", write_config(tmp_path, base_config(), "heat1d.ini")),
+        ("run", fast),
+        ("sample", str(ROOT / "configs" / "sample_gaussian.ini")),
+    ]
+    for k, (command, cfg) in enumerate(runs):
+        out = str(tmp_path / f"out{k}")
+        script = (
+            "import sys\nfrom blobflow import cli\n"
+            f"argv = [{command!r}, '--config', {cfg!r}, '--out', {out!r}, '--quiet']\n"
+            "assert cli.main(argv) == 0\n"
+            "loaded = list(sys.modules)"
+        )
+        assert not heavy & _modules_loaded_by(script), command
 
 
 def test_readme_configuration_table_names_every_key():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from blobflow.ensemble import ParticleEnsemble
 from blobflow.mollifier import (
+    _PANEL_NODES,
+    _PANEL_WEIGHTS,
     _amplitude,
     GridWindow,
     MollifierKernel,
@@ -19,6 +21,15 @@ from blobflow.mollifier import (
     mollified_density,
     radial_profile,
 )
+
+
+def test_panel_rule_is_leggauss_bit_for_bit():
+    # the frozen table replaces leggauss(40), which only this test imports
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(40)
+    assert np.array_equal(_PANEL_NODES, nodes)
+    assert np.array_equal(_PANEL_WEIGHTS, weights)
 
 
 def test_gaussian_norms_match_closed_forms_1d():
