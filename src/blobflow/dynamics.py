@@ -1,17 +1,18 @@
 """The regularized particle flow and its runtime diagnostics.
 
 Particles move by x_i' = -grad p(x_i) - v(x_i) where p = phi_eps * q,
-q = f_reg'(mu), mu = phi_eps * (particle empirical measure). Convolutions are
-evaluated by midpoint quadrature on a tensor grid that tracks the cloud.
+q = f_reg'(mu), mu = phi_eps * (particle empirical measure), and v is the
+drift's grad (zero without one). Convolutions are evaluated by midpoint
+quadrature on a tensor grid that tracks the cloud. One stepping loop runs
+every scheme, a row of SCHEMES: forward Euler or classical RK4.
 Each array of a stage lives only as long as something reads it: a stage
 keeps mu, the prox point of mu and q; the particle window that scattered mu
 goes once the stage has gathered grad p through it; and the node gradients,
 f_reg(mu) and zeta are computed from mu, j and q at each read, never kept.
-Diagnostics per record:
-energy, mollified entropy, second moment, dissipation residual, cross-term
-sign, stability constant, and optional W1-to-reference. The mollifier-exchange
-residual is a function of one cloud (exchange_residual), not a per-record
-diagnostic; its CSV column stays empty.
+Diagnostics per record: energy, mollified entropy, second moment,
+dissipation residual, cross-term sign, stability constant, and optional
+W1-to-reference. The mollifier-exchange residual is a function of one cloud
+(exchange_residual), not a per-record diagnostic; its CSV column stays empty.
 
 Determinism: every reduction sums contiguous arrays along a fixed axis in
 index order with fixed chunk sizes, so identical inputs give bit-identical
@@ -36,6 +37,13 @@ from .mollifier import mollified_density  # noqa: F401
 
 EULER = "euler"
 RK4 = "rk4"
+
+# scheme: (inner stages as (offset, weight), weight sum). step weighs v(x0) by 1, each inner
+# stage's v(x0 + offset dt v_prev) by its weight, and moves by dt / sum; Euler's dt / 1.0 is dt
+SCHEMES = {
+    RK4: (((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)), 6.0),
+    EULER: ((), 1.0),
+}
 
 
 class GridBudgetError(RuntimeError):
@@ -116,11 +124,9 @@ class FieldSnapshot:
 
 
 def _node_gradients(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-    tensor = values.reshape(grid.shape)
+    grads = np.gradient(values.reshape(grid.shape), *grid.spacing, edge_order=2)
     if grid.dim == 1:
-        grads = [np.gradient(tensor, grid.spacing[0], edge_order=2)]
-    else:
-        grads = np.gradient(tensor, *grid.spacing, edge_order=2)
+        grads = [grads]
     return np.column_stack([g.ravel() for g in grads])
 
 
@@ -178,12 +184,16 @@ def _central_differences(fn, points: np.ndarray, h: float):
 
 @dataclass(frozen=True)
 class VelocityConfig:
-    """Autonomous drift v(x): none (VelocityConfig(), neither callable
-    set), the gradient of a potential (its finite-difference gradient when
-    grad is unset), or a custom field (grad alone)."""
+    """Autonomous drift v(x) = grad(x): none (VelocityConfig()), the gradient
+    of a potential (both set; run checks grad against the potential's finite
+    differences), or a custom field (grad alone). A bare potential is refused."""
 
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self) -> None:
+        if self.potential is not None and self.grad is None:
+            raise ValueError("a potential needs its grad: the drift is grad(x), never differenced")
 
     @staticmethod
     def quadratic() -> "VelocityConfig":
@@ -195,18 +205,16 @@ class VelocityConfig:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(points), dtype=float)
-        if self.potential is not None:
-            return self._fd_gradient(points)
-        return np.zeros_like(points)
+        if self.grad is None:
+            return np.zeros_like(points)
+        return np.asarray(self.grad(points), dtype=float)
 
     def _fd_gradient(self, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
         return np.stack(list(_central_differences(self.potential, points, h)), axis=1)
 
     def validate_gradient(self, probes: np.ndarray, rtol: float = 1e-5) -> None:
-        """For explicit gradients, check them against finite differences."""
-        if self.grad is None or self.potential is None:
+        """Check grad against the potential's finite differences, if one is set."""
+        if self.potential is None:
             return
         analytic = np.asarray(self.grad(probes), dtype=float)
         numeric = self._fd_gradient(probes)
@@ -364,8 +372,8 @@ class RunSpec:
     w1_resolution: int = 4096
 
     def __post_init__(self) -> None:
-        if self.scheme not in (EULER, RK4):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {', '.join(SCHEMES)}")
         if self.t_final < 0.0:
             raise ValueError("t_final must be nonnegative")
         if self.dt is not None and not self.dt > 0.0:
@@ -429,46 +437,41 @@ def _nonfinite_velocity(bad: np.ndarray) -> FloatingPointError:
     return FloatingPointError(f"non-finite velocity for particle indices {bad[:8].tolist()}")
 
 
-def make_state(spec: RunSpec, ensemble: ParticleEnsemble) -> SimState:
-    fields, gp = _stage(spec, ensemble.positions, None)
+def _state(spec: RunSpec, ensemble: ParticleEnsemble, grid: Optional[QuadratureGrid]) -> SimState:
+    fields, gp = _stage(spec, ensemble.positions, grid)
     return SimState(spec=spec, ensemble=ensemble, fields=fields, pressure_grad=gp)
 
 
+def make_state(spec: RunSpec, ensemble: ParticleEnsemble) -> SimState:
+    return _state(spec, ensemble, None)
+
+
 def step(state: SimState, dt: float) -> SimState:
-    """Advance every particle by one explicit step of the spec's scheme.
+    """Advance every particle by one step of the spec's SCHEMES row.
 
     Stage fields are recomputed at each stage position; the grid follows the
-    cloud whenever it drifts into the boundary shell. Of an inner RK4
-    stage only grad p and the grid are read, so its fields are let go
-    before the next stage builds its own.
+    cloud whenever it drifts into the boundary shell. Of an inner stage only
+    grad p and the grid are read, so its fields are let go before the next
+    stage builds its own.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     spec = state.spec
+    stages, weight_sum = SCHEMES[spec.scheme]
     x0 = state.ensemble.positions
     grid = state.fields.grid
 
     v = _velocity(spec, x0, state.pressure_grad)
-    if spec.scheme == EULER:
-        x_new = x0 + dt * v
-    else:
-        total = v
-        for offset, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-            x = x0 + offset * dt * v
-            fields, gp = _stage(spec, x, grid)
-            grid = fields.grid
-            del fields
-            v = _velocity(spec, x, gp)
-            total = total + weight * v
-        x_new = x0 + dt / 6.0 * total
-
-    fields, gp = _stage(spec, x_new, grid)
-    return SimState(
-        spec=spec,
-        ensemble=state.ensemble.advanced(x_new, state.ensemble.time + dt),
-        fields=fields,
-        pressure_grad=gp,
-    )
+    total = v
+    for offset, weight in stages:
+        x = x0 + offset * dt * v
+        fields, gp = _stage(spec, x, grid)
+        grid = fields.grid
+        del fields
+        v = _velocity(spec, x, gp)
+        total = total + weight * v
+    moved = state.ensemble.advanced(x0 + dt / weight_sum * total, state.ensemble.time + dt)
+    return _state(spec, moved, grid)
 
 
 def _dissipation_rate(state: SimState) -> float:
@@ -532,13 +535,9 @@ def run(spec: RunSpec, on_record=None) -> Trajectory:
     state = make_state(spec, spec.initial)
     trajectory = Trajectory(c_eps=c_eps, dt=dt)
     _record(state, trajectory, on_record)
-    if spec.t_final == 0.0:
-        return trajectory
-
     n_steps = max(1, math.ceil(spec.t_final / dt - 1e-9))
     for k in range(1, n_steps + 1):
-        target = min(k * dt, spec.t_final)
-        h = target - state.ensemble.time
+        h = min(k * dt, spec.t_final) - state.ensemble.time
         if h <= 0.0:
             continue
         state = step(state, h)

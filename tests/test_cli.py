@@ -15,6 +15,7 @@ from blobflow.cli import (
     CONFIG_KEYS,
     ConfigError,
     OUT_ENV_VAR,
+    SCHEMES,
     command_config,
     config_hash,
     main,
@@ -294,6 +295,14 @@ def test_run_rejects_an_epsilon_list(tmp_path, capsys):
     assert "single epsilon" in capsys.readouterr().err
 
 
+def test_the_cli_offers_the_schemes_that_dynamics_steps():
+    # cli keeps its own list because it imports dynamics, and so numpy,
+    # only inside the command bodies
+    from blobflow import dynamics
+
+    assert tuple(dynamics.SCHEMES) == SCHEMES == ("rk4", "euler")
+
+
 def test_runtime_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
     text = base_config(
         flow="epsilon = 0.002\nt_final = 0.01\ndt = 0.002",
@@ -368,6 +377,53 @@ def test_non_finite_velocity_exits_1_and_keeps_partial_outputs(tmp_path, capsys,
     # the first step failed, so the last good cloud is the t = 0 record's
     last = (out / "snapshot_last.csv").read_bytes()
     assert last == (out / "snapshot_initial.csv").read_bytes()
+    assert "snapshot_last.csv" in summary["outputs"]
+
+
+def test_grid_budget_on_a_rebuild_exits_1_and_keeps_the_last_record(tmp_path, capsys):
+    from blobflow import dynamics
+    from blobflow.cli import build_runspec
+    from blobflow.ensemble import save_snapshot
+
+    # a narrow heat cloud spreads into the 2-eps edge shell of its first
+    # grid between t = 0.06 and 0.07; a budget of exactly that grid's
+    # nodes lets it run and refuses the wider rebuild
+    def config(grid=""):
+        return base_config(
+            flow="epsilon = 0.2\nt_final = 0.1\ndt = 0.005\nrecord_every = 2",
+            initial="kind = gaussian\nsigma = 0.3",
+            reference="kind = none",
+            grid="padding = 2.5\nspacing_fraction = 0.01\n" + grid,
+        )
+
+    spec = build_runspec(parse_config_text(config()), 0.2)
+    first = dynamics.build_grid(
+        spec.initial, 0.2, padding=spec.grid_padding, spacing_fraction=spec.grid_spacing_fraction
+    )
+    budget = first.node_count
+    # the same run under the default budget, keeping every recorded cloud
+    rows, clouds = [], []
+
+    def keep(rec, ens):
+        rows.append(rec.csv_row())
+        clouds.append(ens)
+
+    dynamics.run(spec, on_record=keep)
+
+    path = write_config(tmp_path, config(f"node_budget = {budget}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert "runtime error: GridBudgetError" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"].startswith("GridBudgetError")
+    assert f"exceeding the budget of {budget}" in summary["error"]
+    assert not (out / "snapshot_final.csv").exists()
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == DIAG_HEADER
+    kept = lines[1:]
+    assert 1 < len(kept) < len(rows) and kept == rows[: len(kept)]
+    save_snapshot(clouds[len(kept) - 1], tmp_path / "last.csv")
+    assert (out / "snapshot_last.csv").read_bytes() == (tmp_path / "last.csv").read_bytes()
     assert "snapshot_last.csv" in summary["outputs"]
 
 

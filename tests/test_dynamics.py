@@ -336,6 +336,11 @@ def test_velocity_quadratic_and_validation():
         bad.validate_gradient(pts)
 
 
+def test_velocity_refuses_a_potential_without_its_grad():
+    with pytest.raises(ValueError, match="a potential needs its grad"):
+        VelocityConfig(potential=lambda p: 0.5 * np.sum(p**2, axis=1))
+
+
 def test_velocity_none_is_zero_with_zero_bound():
     v = VelocityConfig()
     pts = np.linspace(-2, 2, 7)[:, None]
@@ -431,7 +436,7 @@ def test_runspec_validation():
     spec = single_particle_spec(RK4, 0.01, 0.1)
     import dataclasses
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown scheme 'leapfrog'; expected one of rk4, euler"):
         dataclasses.replace(spec, scheme="leapfrog")
     with pytest.raises(ValueError):
         dataclasses.replace(spec, t_final=-1.0)

@@ -2,12 +2,13 @@
 outputs.
 
 Each case is a `blobflow run` of an inline config (N <= 128, at most 25
-RK4 steps). Its diagnostics.csv and snapshot_final.csv were frozen by
-write_golden() into tests/data/golden/<case>/, and a rerun must match
-every column to within 1e-9 of that column's largest magnitude. Byte
-identity across versions is not asked for: a refactor may reorder floating
-point work, but it must not move a trajectory. The heat2d case's config
-also bounds what an integrator state keeps in memory.
+steps, RK4 except in the euler case). Its diagnostics.csv and
+snapshot_final.csv were frozen by write_golden() into
+tests/data/golden/<case>/, and a rerun must match every column to within
+1e-9 of that column's largest magnitude. Byte identity across versions is
+not asked for: a refactor may reorder floating point work, but it must not
+move a trajectory. The heat2d case's config also bounds what an
+integrator state keeps in memory.
 """
 
 import shutil
@@ -103,6 +104,12 @@ CASES = {
     + CONFINED.format(sigma=0.1),
     "confined_heat": "[family]\nkind = heat\n" + CONFINED.format(sigma=0.5),
     "heat2d": HEAT2D,
+    # the porous_medium case on forward Euler, the one golden run of the
+    # first-order step
+    "euler": "[family]\nkind = porous_medium\nm = 2.0\n"
+    + FREE.format(t_final=0.05, initial="barenblatt", t0=0.5).replace(
+        "[flow]\n", "[flow]\nscheme = euler\n"
+    ),
 }
 
 
