@@ -19,7 +19,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, make_dataclass
 from typing import Optional
 
 # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before): hashlib's
@@ -160,15 +160,19 @@ def _read(key: Key, raw: Optional[str], errors: list) -> object:
     return value
 
 
-def parse_config(path: str) -> SimConfig:
+def parse_config(path: str, command: Optional[str] = None) -> SimConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
+            return parse_config_text(fh.read(), command)
     except OSError as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
 
 
-def parse_config_text(text: str) -> SimConfig:
+def parse_config_text(text: str, command: Optional[str] = None) -> SimConfig:
+    """The config a text sets, or one ConfigError with every unknown section
+    and key, else with every bad value and every broken rule: the config's
+    own and, given a command, its family's, its delta schedule's and the
+    command's. sample's config takes its steady state as the reference."""
     # no header can name the default section "\n", so [DEFAULT] is an
     # ordinary (unknown) section and its keys are not copied into the others
     cp = configparser.ConfigParser(interpolation=None, default_section="\n")
@@ -189,16 +193,22 @@ def parse_config_text(text: str) -> SimConfig:
     if errors:
         raise ConfigError(errors)
 
-    v = {}
+    # a rule skips the fields in bad, whose values are already reported wrong
+    v, bad = {}, set()
     for key in CONFIG_KEYS:
         raw = cp.get(key.section, key.name, fallback="").strip() or None
+        count = len(errors)
         v[key.field] = _read(key, raw, errors)
+        if len(errors) > count:
+            bad.add(key.field)
         if key.field == "dimension":  # [family] is complete: report m with it
-            kind = v["family_kind"]
-            if kind in POWER_FAMILIES and v["m"] is None:
+            kind, count = v["family_kind"], len(errors)
+            if kind in POWER_FAMILIES and v["m"] is None and "m" not in bad:
                 errors.append(f"[family] m is required for kind = {kind}")
             if kind in ("heat", "height_constraint") and v["m"] is not None:
                 errors.append(f"[family] m is not a parameter of kind = {kind}")
+            if len(errors) > count:
+                bad.add("m")
 
     reference, initial = v["reference_kind"], v["initial_kind"]
     # self_similar continues the start in time: exact only drift-free from the own start
@@ -236,10 +246,52 @@ def parse_config_text(text: str) -> SimConfig:
             f"[initial] kind = barenblatt of a fast_diffusion family requires [family] "
             f"dimension = 1 (got {d}): rejection sampling stalls on its heavy tails"
         )
+    if command is not None:
+        _command_rules(command, v, bad, errors)
 
     if errors:
         raise ConfigError(errors)
+    if command == "sample":
+        v["reference_kind"] = "steady_state"
     return SimConfig(**v)
+
+
+def _command_rules(command: str, v: dict, bad: set, errors: list) -> None:
+    """Append the broken rules of a command: every subcommand needs a family
+    exponent in range and a beta under the schedule bound of effective_r;
+    run and sample take a single epsilon; converge takes a strictly
+    decreasing list and a reference; sample needs a confining velocity."""
+    from .convex_energy import EnergyFamily
+    from .reference import DeltaSchedule
+
+    d, eps = v["dimension"], v["epsilons"]
+    if bad.isdisjoint(("family_kind", "m", "dimension")):
+        try:
+            EnergyFamily(v["family_kind"], v["m"], d)
+        except ValueError as exc:
+            errors.append(f"[family] {exc}")
+    if bad.isdisjoint(("beta", "effective_r", "dimension")):
+        try:
+            DeltaSchedule(v["beta"], v["effective_r"], d)
+        except ValueError as exc:
+            # the schedule names the value it rejects: effective_r, checked first, or beta
+            section = "[kernel]" if str(exc).startswith("effective_r") else "[flow]"
+            errors.append(f"{section} {exc}")
+    if command == "converge":
+        if "epsilons" not in bad and any(b >= a for a, b in zip(eps, eps[1:])):
+            errors.append("converge requires a strictly decreasing epsilon list")
+        if v["reference_kind"] == "none":
+            errors.append("converge requires a [reference] selection")
+    elif "epsilons" not in bad and len(eps) != 1:
+        errors.append(
+            f"run and sample take a single epsilon; got {len(eps)} "
+            "(use the converge subcommand for a list)"
+        )
+    if command == "sample":
+        if v["velocity_kind"] == "none":
+            errors.append("sample requires [velocity] kind = quadratic")
+        if "dimension" not in bad and d >= 3:
+            errors.append(f"sample measures W1 in dimension 1 or 2 only (got {d})")
 
 
 def _text(key: Key, value) -> Optional[str]:
@@ -275,21 +327,6 @@ def config_hash(cfg: SimConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # experiment assembly (heavy imports live here)
-
-
-def _kernel(cfg: SimConfig, epsilon: float):
-    from .mollifier import MollifierKernel
-
-    if cfg.kernel_kind == "gaussian":
-        return MollifierKernel.gaussian(
-            epsilon, dimension=cfg.dimension, effective_r=cfg.effective_r
-        )
-    return MollifierKernel.bump(
-        epsilon,
-        dimension=cfg.dimension,
-        order=cfg.bump_order,
-        effective_r=cfg.effective_r,
-    )
 
 
 def _initial_density(cfg: SimConfig, t: float = 0.0):
@@ -336,16 +373,20 @@ def _reference(cfg: SimConfig, family):
 
 
 def build_runspec(cfg: SimConfig, epsilon: float):
-    """Translate a config that command_config accepted into a
+    """Translate a config that parse_config accepted for a command into a
     dynamics.RunSpec at the given epsilon."""
     from . import dynamics as dyn
     from .convex_energy import EnergyFamily, RegularizedEnergy
     from .ensemble import prepare_initial_particles
+    from .mollifier import MollifierKernel
     from .reference import DeltaSchedule
 
     family = EnergyFamily(cfg.family_kind, cfg.m, cfg.dimension)
-    kernel = _kernel(cfg, epsilon)
-    schedule = DeltaSchedule(cfg.beta, kernel.effective_r, cfg.dimension)
+    if cfg.kernel_kind == "gaussian":
+        kernel = MollifierKernel.gaussian(epsilon)
+    else:
+        kernel = MollifierKernel.bump(epsilon, cfg.bump_order)
+    schedule = DeltaSchedule(cfg.beta, cfg.effective_r, cfg.dimension)
     reg = RegularizedEnergy(family=family, delta=schedule.delta_of(epsilon))
     initial = prepare_initial_particles(
         _initial_density(cfg), cfg.n_particles, seed=cfg.seed, mode=cfg.init_mode
@@ -371,48 +412,6 @@ def build_runspec(cfg: SimConfig, epsilon: float):
 
 # ---------------------------------------------------------------------------
 # command bodies
-
-
-def command_config(command: str, cfg: SimConfig) -> SimConfig:
-    """The config a subcommand runs, or one ConfigError with every rule of the
-    subcommand it breaks. Every subcommand needs a family exponent in range
-    and a beta under the schedule bound of the kernel's effective_r; run and
-    sample take a single epsilon; converge takes a strictly decreasing list
-    and a reference; sample needs a confining velocity and measures W1
-    against its steady state."""
-    from .convex_energy import EnergyFamily
-    from .reference import DeltaSchedule
-
-    eps, errors = cfg.epsilons, []
-    try:
-        EnergyFamily(cfg.family_kind, cfg.m, cfg.dimension)
-    except ValueError as exc:
-        errors.append(f"[family] {exc}")
-    try:
-        DeltaSchedule(cfg.beta, _kernel(cfg, eps[0]).effective_r, cfg.dimension)
-    except ValueError as exc:
-        # the schedule names the value it rejects: effective_r, checked first, or beta
-        section = "[kernel]" if str(exc).startswith("effective_r") else "[flow]"
-        errors.append(f"{section} {exc}")
-    if command == "converge":
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            errors.append("converge requires a strictly decreasing epsilon list")
-        if cfg.reference_kind == "none":
-            errors.append("converge requires a [reference] selection")
-    elif len(eps) != 1:
-        errors.append(
-            f"run and sample take a single epsilon; got {len(eps)} "
-            "(use the converge subcommand for a list)"
-        )
-    if command == "sample":
-        if cfg.velocity_kind == "none":
-            errors.append("sample requires [velocity] kind = quadratic")
-        if cfg.dimension >= 3:
-            errors.append(f"sample measures W1 in dimension 1 or 2 only (got {cfg.dimension})")
-        cfg = replace(cfg, reference_kind="steady_state")
-    if errors:
-        raise ConfigError(errors)
-    return cfg
 
 
 def _execute_run(cfg: SimConfig, epsilon: float, out_dir: str, quiet: bool):
@@ -589,7 +588,7 @@ def main(argv=None) -> int:
 
     try:
         try:
-            cfg = command_config(args.command, parse_config(args.config))
+            cfg = parse_config(args.config, args.command)
         except ConfigError as exc:
             # a config rejected before any run writes a summary only where the caller points
             if out_dir:

@@ -91,8 +91,6 @@ class MollifierKernel:
 
     kind        gaussian | bump
     epsilon     length scale
-    effective_r tail-decay exponent quoted to the delta-schedule validity
-                check; must exceed max(d, 2)
     order       bump exponent q >= 3 (C^2 smoothness), unused for gaussian
 
     The Gaussian is supported on the cube max_a |x_a| <= GAUSSIAN_CUT *
@@ -103,7 +101,6 @@ class MollifierKernel:
 
     kind: str
     epsilon: float
-    effective_r: float
     order: int | None = None
 
     def __post_init__(self) -> None:
@@ -111,32 +108,17 @@ class MollifierKernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be a positive finite real")
-        if not (np.isfinite(self.effective_r) and self.effective_r > 0.0):
-            raise ValueError("effective_r must be positive")
         if self.kind == BUMP:
             if self.order is None or self.order < 3:
                 raise ValueError("bump kernels need integer order >= 3")
 
     @staticmethod
-    def gaussian(
-        epsilon: float,
-        dimension: int = 1,
-        effective_r: float | None = None,
-    ) -> "MollifierKernel":
-        # super-polynomial decay: any finite tail exponent is honest, the
-        # schedule check just needs one larger than max(d, 2)
-        r = float(dimension + 3) if effective_r is None else float(effective_r)
-        return MollifierKernel(GAUSSIAN, float(epsilon), r)
+    def gaussian(epsilon: float) -> "MollifierKernel":
+        return MollifierKernel(GAUSSIAN, float(epsilon))
 
     @staticmethod
-    def bump(
-        epsilon: float,
-        dimension: int = 1,
-        order: int = 4,
-        effective_r: float | None = None,
-    ) -> "MollifierKernel":
-        r = float(dimension + 3) if effective_r is None else float(effective_r)
-        return MollifierKernel(BUMP, float(epsilon), r, int(order))
+    def bump(epsilon: float, order: int = 4) -> "MollifierKernel":
+        return MollifierKernel(BUMP, float(epsilon), int(order))
 
     @property
     def support_radius(self) -> float:

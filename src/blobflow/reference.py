@@ -42,17 +42,22 @@ class DeltaSchedule:
     """delta(eps) = eps^beta, admissible when beta < (r - d)/(r - 1).
 
     r is the kernel's certified tail-decay exponent and must exceed
-    max(d, 2); the resulting upper bound never exceeds 1.
+    max(d, 2); the resulting upper bound never exceeds 1. Unset, r is d + 3:
+    both kernels decay faster than any power, so any finite tail exponent is
+    honest, the check just needs one larger than max(d, 2).
     """
 
     beta: float
-    effective_r: float
+    effective_r: float | None = None
     dimension: int = 1
 
     def __post_init__(self) -> None:
-        r, d = self.effective_r, self.dimension
+        d = self.dimension
         if not (isinstance(d, int) and d >= 1):
             raise ValueError("dimension must be a positive integer")
+        if self.effective_r is None:
+            object.__setattr__(self, "effective_r", float(d + 3))
+        r = self.effective_r
         if not r > max(d, 2):
             raise ValueError(f"effective_r = {r} must exceed max(d, 2) = {max(d, 2)}")
         if not (0.0 < self.beta < self.upper_bound):

@@ -15,6 +15,7 @@ that target's continuum bias.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -520,7 +521,7 @@ def test_energy_dissipation_and_residual_halving(heat_runs, pme_runs, fd_runs, t
     cfg4, results4 = heat_runs
     r_full = abs(results4[0.2].trajectory.records[-1].diss_residual)
     _, halved = cli._execute_run(
-        cli.replace(cfg4, dt=cfg4.dt / 2.0), 0.2, str(tmp_path / "halved"), quiet=True
+        replace(cfg4, dt=cfg4.dt / 2.0), 0.2, str(tmp_path / "halved"), quiet=True
     )
     r_half = abs(halved.records[-1].diss_residual)
     assert r_full / r_half >= 3.0, (

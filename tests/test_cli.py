@@ -16,7 +16,6 @@ from blobflow.cli import (
     ConfigError,
     OUT_ENV_VAR,
     SCHEMES,
-    command_config,
     config_hash,
     main,
     parse_config,
@@ -178,11 +177,16 @@ def test_cross_field_validation():
             )
         )
     assert any(m.startswith("[reference] kind = gaussian") for m in exc.value.messages)
+    # beta 0.4 lies under the d + 3 schedule bound up to d = 5, where it is 3/7
     for d in range(2, 6):
         family = f"kind = heat\ndimension = {d}"
-        parse_config_text(
-            base_config(family=family, particles="n = 8\ninit = rejection", reference="kind = none")
+        text = base_config(
+            family=family,
+            flow="epsilon = 0.2\nbeta = 0.4\nt_final = 0.02\ndt = 0.002",
+            particles="n = 8\ninit = rejection",
+            reference="kind = none",
         )
+        parse_config_text(text, "run")
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +280,13 @@ def test_invalid_beta_in_two_dimensions(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(r - d)/(r - 1)" in err and "0.75" in err
     assert "ConfigError" in json.loads((out / "summary.json").read_text())["error"]
+    # an effective_r that fails to read is reported once, and no schedule
+    # bound is quoted for a beta it never checked
+    path = write_config(tmp_path, text.replace("effective_r = 5.0", "effective_r = abc"))
+    assert main(["run", "--config", path, "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [kernel] effective_r = 'abc' is not a number"
+    ]
 
 
 def test_unservable_dimension_exits_2(tmp_path, capsys):
@@ -287,20 +298,31 @@ def test_unservable_dimension_exits_2(tmp_path, capsys):
 
 
 def test_run_rejects_an_epsilon_list(tmp_path, capsys):
-    path = write_config(
-        tmp_path,
-        base_config(flow="epsilon = 0.2, 0.1\nt_final = 0.02\ndt = 0.002"),
-    )
+    flow = "epsilon = 0.2, 0.1\nt_final = 0.02\ndt = 0.002"
+    path = write_config(tmp_path, base_config(flow=flow))
     assert main(["run", "--config", path, "--quiet"]) == 2
     assert "single epsilon" in capsys.readouterr().err
+    # the config's own rules and the subcommand's are reported in one pass
+    text = base_config(family="kind = heat\ndimension = 2", flow=flow)
+    assert main(["run", "--config", write_config(tmp_path, text), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [particles] init = quantile requires [family] dimension = 1 "
+        "(got 2); use init = rejection",
+        "config error: run and sample take a single epsilon; got 2 "
+        "(use the converge subcommand for a list)",
+    ]
 
 
 def test_the_cli_offers_the_schemes_that_dynamics_steps():
-    # cli keeps its own list because it imports dynamics, and so numpy,
-    # only inside the command bodies
-    from blobflow import dynamics
+    # cli keeps its own lists because it imports the library, and so numpy,
+    # only inside the command bodies and the command rules
+    from blobflow import cli, convex_energy, dynamics, ensemble, mollifier
 
     assert tuple(dynamics.SCHEMES) == SCHEMES == ("rk4", "euler")
+    assert cli.FAMILY_KINDS == convex_energy._KINDS
+    assert cli.POWER_FAMILIES == (convex_energy.POROUS_MEDIUM, convex_energy.FAST_DIFFUSION)
+    assert cli.KERNEL_KINDS == (mollifier.GAUSSIAN, mollifier.BUMP)
+    assert cli.INIT_MODES == (ensemble.QUANTILE, ensemble.REJECTION)
 
 
 def test_runtime_failure_exits_1_and_keeps_the_summary(tmp_path, capsys):
@@ -710,10 +732,10 @@ def test_first_error_message_for_a_bad_value(overrides, first_message):
 def test_bundled_config_hashes_are_pinned(name, sha256):
     # every summary.json embeds this hash; a changed canonical text would
     # break the link from old outputs back to their configs
-    cfg = parse_config(str(ROOT / "configs" / f"{name}.ini"))
-    assert config_hash(cfg) == sha256
+    path = str(ROOT / "configs" / f"{name}.ini")
+    assert config_hash(parse_config(path)) == sha256
     # the subcommand its script runs accepts it before any run starts
-    command_config("converge" if name.endswith("_convergence") else "sample", cfg)
+    parse_config(path, "converge" if name.endswith("_convergence") else "sample")
 
 
 def test_config_hash_is_the_hashlib_digest():

@@ -146,7 +146,7 @@ def test_grid_covers_and_interior():
 
 def test_compute_fields_mass_and_zeta():
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     e = gaussian_cloud(64)
     grid = build_grid(e, 0.2, padding=8.0)
     f = compute_fields(e, reg, k, grid)
@@ -161,7 +161,7 @@ def test_zeta_is_the_convex_conjugate():
     # Fenchel-Young: zeta_g = sup_a (a q_g - f_reg(a)); the field routine
     # takes the identity shortcut, the oracle maximizes on a dense grid
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     e = gaussian_cloud(48)
     grid = build_grid(e, 0.2)
     f = compute_fields(e, reg, k, grid)
@@ -178,7 +178,7 @@ def test_fields_derive_from_the_stage_prox_point_with_the_same_bits(family):
     # q, f_reg(mu) and zeta all come from the stage's one prox solve, which
     # skipped the empty nodes; each equals a fresh evaluation at mu
     reg = RegularizedEnergy(family, 0.3)
-    k = MollifierKernel.bump(0.1, dimension=1)
+    k = MollifierKernel.bump(0.1)
     e = two_clusters()
     grid = build_grid(e, 0.1)
     f = compute_fields(e, reg, k, grid)
@@ -214,7 +214,7 @@ def test_one_prox_solve_per_stage_and_none_per_record(family, monkeypatch):
     monkeypatch.setattr(dynamics, "compute_fields", counted_fields)
     spec = RunSpec(
         reg=reg,
-        kernel=MollifierKernel.bump(0.1, dimension=1),
+        kernel=MollifierKernel.bump(0.1),
         velocity=VelocityConfig(),
         initial=two_clusters(),
         t_final=0.004,
@@ -230,7 +230,7 @@ def test_gradient_sandwich_q_versus_mu():
     # q = g(mu) with g Lipschitz of constant delta + 1/delta, and both
     # gradients come from the same stencil, so the bound survives discretely
     reg = heat_reg(0.1)
-    k = MollifierKernel.gaussian(0.1, dimension=1)
+    k = MollifierKernel.gaussian(0.1)
     e = gaussian_cloud(96)
     f = compute_fields(e, reg, k, build_grid(e, 0.1))
     lip = reg.lipschitz_of_derivative
@@ -241,7 +241,7 @@ def test_gradient_sandwich_q_versus_mu():
 
 def test_cross_term_nonnegative_up_to_roundoff():
     reg = heat_reg(0.1)
-    k = MollifierKernel.gaussian(0.1, dimension=1)
+    k = MollifierKernel.gaussian(0.1)
     e = gaussian_cloud(96)
     f = compute_fields(e, reg, k, build_grid(e, 0.1))
     min_val = cross_term_min(f)
@@ -260,7 +260,7 @@ def test_cross_term_nonnegative_up_to_roundoff():
 
 def test_pressure_gradient_matches_finite_differences():
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     e = gaussian_cloud(32)
     grid = build_grid(e, 0.2)
     f = compute_fields(e, reg, k, grid)
@@ -283,9 +283,9 @@ def test_a_released_window_is_rebuilt_with_the_same_bits(kind, d):
     # same cloud builds it again and must give the stage's grad p bit for bit
     init = ParticleEnsemble(np.random.default_rng(d).normal(size=(48, d)))
     if kind == "gaussian":
-        k = MollifierKernel.gaussian(0.2, dimension=d)
+        k = MollifierKernel.gaussian(0.2)
     else:
-        k = MollifierKernel.bump(0.3, dimension=d)
+        k = MollifierKernel.bump(0.3)
     spec = RunSpec(
         reg=heat_reg(0.2, d), kernel=k, velocity=VelocityConfig(), initial=init, t_final=0.01
     )
@@ -301,7 +301,7 @@ def test_a_released_window_is_rebuilt_with_the_same_bits(kind, d):
 
 def test_pressure_gradient_rejects_outside_queries():
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     e = gaussian_cloud(8)
     f = compute_fields(e, reg, k, build_grid(e, 0.2))
     far = np.array([[50.0], [0.0]])
@@ -315,7 +315,7 @@ def test_single_particle_pressure_gradient_vanishes():
     # mu is radially symmetric about a lone particle, so the forcing at the
     # particle cancels by parity
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     e = ParticleEnsemble(np.array([[0.3]]), time=0.0, seed=0)
     f = compute_fields(e, reg, k, build_grid(e, 0.2))
     gp = pressure_gradient_at(f, k, e.positions)
@@ -357,7 +357,7 @@ def test_estimate_w1inf_linear_field():
 
 def test_lipschitz_estimate_formula():
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     norms = kernel_norms(k, 1)
     expected = norms.grad_w11 * (
         reg.lipschitz_of_derivative * norms.sup + reg.derivative_at_zero
@@ -374,7 +374,7 @@ def test_lipschitz_estimate_formula():
 
 def single_particle_spec(scheme: str, dt: float, t_final: float) -> RunSpec:
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     init = ParticleEnsemble(np.array([[1.0]]), time=0.0, seed=0)
     return RunSpec(
         reg=reg,
@@ -395,7 +395,7 @@ def test_stages_never_build_the_node_array(d):
     init = ParticleEnsemble(np.random.default_rng(d).normal(size=(16, d)))
     spec = RunSpec(
         reg=heat_reg(0.2, d),
-        kernel=MollifierKernel.gaussian(0.2, dimension=d),
+        kernel=MollifierKernel.gaussian(0.2),
         velocity=VelocityConfig.quadratic(),
         initial=init,
         t_final=0.01,
@@ -475,7 +475,7 @@ def test_nonfinite_velocity_names_the_particle():
         return out
 
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     spec = RunSpec(
         reg=reg,
         kernel=k,
@@ -496,7 +496,7 @@ def test_nonfinite_drift_with_automatic_dt_names_the_particle():
         return out
 
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     spec = RunSpec(
         reg=reg,
         kernel=k,
@@ -513,7 +513,7 @@ def test_grid_follows_a_drifting_cloud():
     # constant external drift pushes the cloud far past the initial box;
     # the run only succeeds if the grid is rebuilt on the way
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     init = gaussian_cloud(32)
     drift = VelocityConfig(grad=lambda p: -2.0 * np.ones_like(p))
     spec = RunSpec(
@@ -528,7 +528,7 @@ def test_grid_follows_a_drifting_cloud():
 def _heat_spec() -> RunSpec:
     return RunSpec(
         reg=heat_reg(0.2),
-        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        kernel=MollifierKernel.gaussian(0.2),
         velocity=VelocityConfig.quadratic(),
         initial=gaussian_cloud(32, seed=5),
         t_final=0.05,
@@ -542,7 +542,7 @@ def _fast_diffusion_spec() -> RunSpec:
     eps = 0.05
     return RunSpec(
         reg=RegularizedEnergy(EnergyFamily.fast_diffusion(0.5), eps**0.5),
-        kernel=MollifierKernel.gaussian(eps, dimension=1),
+        kernel=MollifierKernel.gaussian(eps),
         velocity=VelocityConfig(),
         initial=prepare_initial_particles(barenblatt_reference(0.5, 1, 0.5), 64, seed=0),
         t_final=0.005,
@@ -563,7 +563,7 @@ def test_run_is_bitwise_deterministic():
 def test_trajectory_keeps_records_and_only_the_last_cloud():
     spec = RunSpec(
         reg=heat_reg(0.2),
-        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        kernel=MollifierKernel.gaussian(0.2),
         velocity=VelocityConfig.quadratic(),
         initial=gaussian_cloud(16),
         t_final=0.05,
@@ -596,7 +596,7 @@ def test_node_gradients_are_taken_only_at_records(monkeypatch):
     monkeypatch.setattr(dynamics, "_node_gradients", counted)
     spec = RunSpec(
         reg=heat_reg(0.2),
-        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        kernel=MollifierKernel.gaussian(0.2),
         velocity=VelocityConfig.quadratic(),
         initial=gaussian_cloud(16),
         t_final=0.02,
@@ -616,7 +616,7 @@ def test_node_gradients_are_taken_only_at_records(monkeypatch):
 @pytest.fixture(scope="module")
 def heat_run():
     reg = heat_reg(0.2)
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     spec = RunSpec(
         reg=reg,
         kernel=k,
@@ -660,7 +660,7 @@ def test_every_recorded_residual_is_the_quadrature_of_its_prefix():
     # from the record list; every residual keeps the reference's bits
     spec = RunSpec(
         reg=heat_reg(0.2),
-        kernel=MollifierKernel.gaussian(0.2, dimension=1),
+        kernel=MollifierKernel.gaussian(0.2),
         velocity=VelocityConfig.quadratic(),
         initial=gaussian_cloud(8),
         t_final=0.1,
@@ -691,7 +691,7 @@ def test_exchange_residual_decays_with_epsilon():
 
     def res(eps):
         reg = heat_reg(eps)
-        k = MollifierKernel.gaussian(eps, dimension=1)
+        k = MollifierKernel.gaussian(eps)
         grid = build_grid(e, eps)
         f = compute_fields(e, reg, k, grid)
         return exchange_residual(e, f, k, lambda p: np.sin(p[:, 0]))
@@ -708,7 +708,7 @@ def test_exchange_residual_constant_test_function():
         gaussian_reference(1, 1.0), 256, seed=3, mode="rejection"
     )
     reg = heat_reg(0.1)
-    k = MollifierKernel.gaussian(0.1, dimension=1)
+    k = MollifierKernel.gaussian(0.1)
     f = compute_fields(e, reg, k, build_grid(e, 0.1))
     assert exchange_residual(e, f, k, lambda p: np.ones(p.shape[0])) < 5e-3
 
@@ -729,7 +729,7 @@ def test_steady_cloud_stays_near_the_steady_state():
     )
     eps = 0.1
     reg = RegularizedEnergy(family, eps**0.9)
-    k = MollifierKernel.gaussian(eps, dimension=1)
+    k = MollifierKernel.gaussian(eps)
     init = prepare_initial_particles(ss.reference, 16, seed=0)
     spec = RunSpec(
         reg=reg,

@@ -34,7 +34,7 @@ def test_panel_rule_is_leggauss_bit_for_bit():
 
 def test_gaussian_norms_match_closed_forms_1d():
     eps = 0.17
-    n = kernel_norms(MollifierKernel.gaussian(eps, dimension=1), 1)
+    n = kernel_norms(MollifierKernel.gaussian(eps), 1)
     assert n.sup == pytest.approx(1.0 / (np.sqrt(2 * np.pi) * eps), rel=1e-9)
     assert n.grad_l1 == pytest.approx(np.sqrt(2.0 / np.pi) / eps, rel=1e-9)
     # |phi''| integrates to 4 |phi'(eps)| = 4 phi_1(1) / eps^2
@@ -45,7 +45,7 @@ def test_gaussian_norms_match_closed_forms_1d():
 
 def test_gaussian_sup_2d():
     eps = 0.2
-    n = kernel_norms(MollifierKernel.gaussian(eps, dimension=2), 2)
+    n = kernel_norms(MollifierKernel.gaussian(eps), 2)
     assert n.sup == pytest.approx(1.0 / (2 * np.pi * eps**2), rel=1e-9)
 
 
@@ -77,21 +77,21 @@ def test_bump_amplitude_against_quadrature(d, order):
 
     radial, _ = quad(lambda r: r ** (d - 1) * (1 - r * r) ** order, 0, 1, epsabs=0)
     area = 2 * np.pi ** (d / 2) / gamma(d / 2)
-    peak = kernel_value(MollifierKernel.bump(1.0, d, order), np.zeros(d))
+    peak = kernel_value(MollifierKernel.bump(1.0, order), np.zeros(d))
     assert peak * area * radial == pytest.approx(1.0, rel=1e-13)
 
 
 def test_norms_scale_like_inverse_powers():
     for d in (1, 2):
-        a = kernel_norms(MollifierKernel.gaussian(0.1, dimension=d), d)
-        b = kernel_norms(MollifierKernel.gaussian(0.2, dimension=d), d)
+        a = kernel_norms(MollifierKernel.gaussian(0.1), d)
+        b = kernel_norms(MollifierKernel.gaussian(0.2), d)
         assert a.sup == pytest.approx(b.sup * 2.0**d, rel=1e-9)
         assert a.grad_l1 == pytest.approx(b.grad_l1 * 2.0, rel=1e-9)
         assert a.hess_l1 == pytest.approx(b.hess_l1 * 4.0, rel=1e-8)
 
 
 def test_norms_cached_per_kernel():
-    k = MollifierKernel.gaussian(0.15, dimension=1)
+    k = MollifierKernel.gaussian(0.15)
     assert kernel_norms(k, 1) is kernel_norms(k, 1)
 
 
@@ -99,9 +99,9 @@ def test_norms_cached_per_kernel():
 @pytest.mark.parametrize("d", [1, 2])
 def test_normalization_by_quadrature(kind, d):
     k = (
-        MollifierKernel.gaussian(0.21, dimension=d)
+        MollifierKernel.gaussian(0.21)
         if kind == "gaussian"
-        else MollifierKernel.bump(0.21, dimension=d)
+        else MollifierKernel.bump(0.21)
     )
     rad = k.support_radius
     xs = np.linspace(-rad, rad, 20001)
@@ -120,9 +120,9 @@ def test_radial_profile_derivatives_match_central_differences(kind, d):
     # g'' feeds kernel_norms' hess_l1 and so the Lipschitz estimate
     eps = 0.2
     k = (
-        MollifierKernel.gaussian(eps, dimension=d)
+        MollifierKernel.gaussian(eps)
         if kind == "gaussian"
-        else MollifierKernel.bump(eps, dimension=d)
+        else MollifierKernel.bump(eps)
     )
     g, g1, g2 = radial_profile(k, d)
     # inside the support, clear of the bump edge and the Gaussian cutoff
@@ -137,7 +137,7 @@ def test_radial_profile_derivatives_match_central_differences(kind, d):
 def test_kernel_even_and_gradient_odd():
     for kind in ("gaussian", "bump"):
         for d in (1, 2):
-            k = getattr(MollifierKernel, kind)(0.3, dimension=d)
+            k = getattr(MollifierKernel, kind)(0.3)
             rng = np.random.default_rng(5)
             x = rng.uniform(-0.3, 0.3, size=(64, d))
             np.testing.assert_array_equal(kernel_value(k, x), kernel_value(k, -x))
@@ -147,9 +147,9 @@ def test_kernel_even_and_gradient_odd():
 def test_gradient_consistent_with_value():
     for kind in ("gaussian", "bump"):
         k = (
-            MollifierKernel.gaussian(0.25, dimension=2)
+            MollifierKernel.gaussian(0.25)
             if kind == "gaussian"
-            else MollifierKernel.bump(0.25, dimension=2)
+            else MollifierKernel.bump(0.25)
         )
         rng = np.random.default_rng(11)
         x = rng.uniform(-0.2, 0.2, size=(32, 2))
@@ -163,12 +163,12 @@ def test_gradient_consistent_with_value():
 
 
 def test_compact_support_is_exact():
-    k = MollifierKernel.bump(0.2, dimension=1)
+    k = MollifierKernel.bump(0.2)
     assert k.support_radius == 0.2
     xs = np.array([[0.2], [0.25], [3.0], [-0.2001]])
     np.testing.assert_array_equal(kernel_value(k, xs), 0.0)
     np.testing.assert_array_equal(kernel_gradient(k, xs), 0.0)
-    kg = MollifierKernel.gaussian(0.2, dimension=1)
+    kg = MollifierKernel.gaussian(0.2)
     assert kg.support_radius == pytest.approx(1.6)
     assert kernel_value(kg, np.array([[1.7]])) == 0.0
 
@@ -176,7 +176,7 @@ def test_compact_support_is_exact():
 def test_gaussian_support_is_the_cube_in_2d():
     # the truncated Gaussian is cut at max_a |x_a| <= R, so that it factors
     # over the axes: (0.9R, 0.9R) lies outside the ball but inside the cube
-    k = MollifierKernel.gaussian(0.2, dimension=2)
+    k = MollifierKernel.gaussian(0.2)
     rad = k.support_radius
     corner = np.array([[0.9 * rad, 0.9 * rad], [-0.9 * rad, 0.9 * rad]])
     assert np.all(kernel_value(k, corner) > 0.0)
@@ -199,9 +199,9 @@ def test_kernel_at_the_edge_inf_and_nan_matches_the_select_form(kind, d):
     # the bits of the select np.where(inside, v, 0.0), which sends NaN to 0
     eps = 0.2
     if kind == "gaussian":
-        k = MollifierKernel.gaussian(eps, dimension=d)
+        k = MollifierKernel.gaussian(eps)
     else:
-        k = MollifierKernel.bump(eps, dimension=d)
+        k = MollifierKernel.bump(eps)
     rad = k.support_radius
     coords = [0.0, 0.5 * rad, rad, -rad, np.nextafter(rad, 0.0), np.nextafter(rad, np.inf)]
     coords += [np.inf, -np.inf, np.nan]
@@ -224,7 +224,7 @@ def test_kernel_at_the_edge_inf_and_nan_matches_the_select_form(kind, d):
 
 def test_bump_order_floor():
     with pytest.raises(ValueError):
-        MollifierKernel.bump(0.2, dimension=1, order=2)
+        MollifierKernel.bump(0.2, order=2)
 
 
 @given(
@@ -232,8 +232,8 @@ def test_bump_order_floor():
     x=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_value_scaling_law_1d(scale, x):
-    base = MollifierKernel.gaussian(0.2, dimension=1)
-    scaled = MollifierKernel.gaussian(0.2 * scale, dimension=1)
+    base = MollifierKernel.gaussian(0.2)
+    scaled = MollifierKernel.gaussian(0.2 * scale)
     v0 = kernel_value(base, np.array([[x]]))[0]
     v1 = kernel_value(scaled, np.array([[x * scale]]))[0]
     assert v1 * scale == pytest.approx(v0, rel=1e-12, abs=1e-300)
@@ -243,7 +243,7 @@ def test_mollified_density_mass_and_dense_agreement():
     rng = np.random.default_rng(2)
     pos = rng.normal(size=(37, 1))
     e = ParticleEnsemble(positions=pos, time=0.0, seed=0)
-    k = MollifierKernel.gaussian(0.15, dimension=1)
+    k = MollifierKernel.gaussian(0.15)
     lo = pos.min() - 6 * 0.15
     hi = pos.max() + 6 * 0.15
     n = 2048
@@ -266,9 +266,9 @@ def _window_case(kind, d, cloud="shell"):
     rng = np.random.default_rng(10 * d + len(kind) + (7 if cloud == "blocks" else 0))
     eps = 0.1 if d == 1 else 0.25
     k = (
-        MollifierKernel.gaussian(eps, dimension=d)
+        MollifierKernel.gaussian(eps)
         if kind == "gaussian"
-        else MollifierKernel.bump(eps, dimension=d)
+        else MollifierKernel.bump(eps)
     )
     if cloud == "blocks":
         pos = np.vstack([rng.normal(scale=0.4, size=(236, d)), 1.8 * np.eye(d), -1.8 * np.eye(d)])
@@ -373,7 +373,7 @@ def test_window_layout_never_crosses_grids(kind, d):
 
 
 def test_window_rejects_mismatched_inputs():
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     grid = QuadratureGrid(-1.0, 1.0, (9,))
     with pytest.raises(ValueError):
         GridWindow(k, np.zeros((3, 2)), grid)
@@ -391,7 +391,7 @@ def test_quadrature_grid_rejects_degenerate_boxes():
 
 
 def test_positions_duck_typing():
-    k = MollifierKernel.gaussian(0.2, dimension=1)
+    k = MollifierKernel.gaussian(0.2)
     bare = np.array([[0.0], [1.0]])
     wrapped = ParticleEnsemble(positions=bare.copy(), time=0.0, seed=0)
     pts = np.linspace(-1, 2, 7)[:, None]

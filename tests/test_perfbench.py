@@ -10,7 +10,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from blobflow.cli import command_config, parse_config_text
+from blobflow.cli import parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,4 +67,4 @@ def test_benchmark_and_bundled_configs_pass_validation(monkeypatch):
     for name, command in BUNDLED_COMMANDS.items():
         runs.append((command, (ROOT / "configs" / f"{name}.ini").read_text(encoding="utf-8")))
     for command, text in runs:
-        command_config(command, parse_config_text(text))
+        parse_config_text(text, command)

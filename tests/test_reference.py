@@ -212,6 +212,10 @@ def test_delta_schedule_bound_and_values():
     assert s.delta_of(0.04) == pytest.approx(0.2)
     s2 = DeltaSchedule(beta=0.5, effective_r=5.0, dimension=2)
     assert s2.upper_bound == pytest.approx(0.75)
+    # unset, r is d + 3
+    assert DeltaSchedule(0.5).upper_bound == pytest.approx(1.0)
+    assert DeltaSchedule(0.5, dimension=2).upper_bound == pytest.approx(0.75)
+    assert DeltaSchedule(0.5, effective_r=4.0, dimension=2).upper_bound == pytest.approx(2.0 / 3.0)
 
 
 def test_delta_schedule_rejects_bad_parameters():
