@@ -172,7 +172,7 @@ def parse_config_text(text: str, command: Optional[str] = None) -> SimConfig:
     """The config a text sets, or one ConfigError with every unknown section
     and key, else with every bad value and every broken rule: the config's
     own and, given a command, its family's, its delta schedule's and the
-    command's. sample's config takes its steady state as the reference."""
+    command's. sample's rules are those of the steady-state reference it runs."""
     # no header can name the default section "\n", so [DEFAULT] is an
     # ordinary (unknown) section and its keys are not copied into the others
     cp = configparser.ConfigParser(interpolation=None, default_section="\n")
@@ -210,6 +210,8 @@ def parse_config_text(text: str, command: Optional[str] = None) -> SimConfig:
             if len(errors) > count:
                 bad.add("m")
 
+    if command == "sample":  # it measures against its steady state, whatever [reference] says
+        v["reference_kind"] = "steady_state"
     reference, initial = v["reference_kind"], v["initial_kind"]
     # self_similar continues the start in time: exact only drift-free from the own start
     own_start = {"heat": "heat_kernel", **dict.fromkeys(POWER_FAMILIES, "barenblatt")}
@@ -221,7 +223,10 @@ def parse_config_text(text: str, command: Optional[str] = None) -> SimConfig:
             "porous_medium and fast_diffusion (height_constraint has none)"
         )
     if reference == "steady_state" and v["velocity_kind"] == "none":
-        errors.append("[reference] kind = steady_state requires a confining [velocity]")
+        errors.append(
+            "[reference] kind = steady_state, the steady state that sample measures "
+            "against, requires a confining [velocity]: kind = quadratic"
+        )
     if initial == "barenblatt" and v["family_kind"] not in POWER_FAMILIES:
         errors.append(
             "[initial] kind = barenblatt requires a porous_medium or "
@@ -236,7 +241,8 @@ def parse_config_text(text: str, command: Optional[str] = None) -> SimConfig:
     if d is not None and d >= 3 and reference not in (None, "none"):
         errors.append(
             f"[reference] kind = {reference} requires [family] dimension 1 or 2 "
-            f"(got {d}): W1 to a density is measured in d = 1 and 2 only"
+            f"(got {d}): W1 to a density, the steady state that sample measures "
+            "against included, is measured in d = 1 and 2 only"
         )
     fast_start = initial == "barenblatt" and v["family_kind"] == "fast_diffusion"
     if fast_start and d is not None and d >= 2:
@@ -251,8 +257,6 @@ def parse_config_text(text: str, command: Optional[str] = None) -> SimConfig:
 
     if errors:
         raise ConfigError(errors)
-    if command == "sample":
-        v["reference_kind"] = "steady_state"
     return SimConfig(**v)
 
 
@@ -260,7 +264,7 @@ def _command_rules(command: str, v: dict, bad: set, errors: list) -> None:
     """Append the broken rules of a command: every subcommand needs a family
     exponent in range and a beta under the schedule bound of effective_r;
     run and sample take a single epsilon; converge takes a strictly
-    decreasing list and a reference; sample needs a confining velocity."""
+    decreasing list and a reference; sample's are those of its steady state."""
     from .convex_energy import EnergyFamily
     from .reference import DeltaSchedule
 
@@ -287,11 +291,6 @@ def _command_rules(command: str, v: dict, bad: set, errors: list) -> None:
             f"run and sample take a single epsilon; got {len(eps)} "
             "(use the converge subcommand for a list)"
         )
-    if command == "sample":
-        if v["velocity_kind"] == "none":
-            errors.append("sample requires [velocity] kind = quadratic")
-        if "dimension" not in bad and d >= 3:
-            errors.append(f"sample measures W1 in dimension 1 or 2 only (got {d})")
 
 
 def _text(key: Key, value) -> Optional[str]:

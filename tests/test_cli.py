@@ -15,6 +15,7 @@ from blobflow.cli import (
     CONFIG_KEYS,
     ConfigError,
     OUT_ENV_VAR,
+    REFERENCE_KINDS,
     SCHEMES,
     config_hash,
     main,
@@ -638,9 +639,13 @@ def test_converge_requires_a_reference(tmp_path, capsys):
 
 
 def test_sample_requires_a_confining_velocity(tmp_path, capsys):
-    path = write_config(tmp_path, base_config())
-    assert main(["sample", "--config", path, "--quiet"]) == 2
-    assert "velocity" in capsys.readouterr().err
+    # one message for one cause, the steady state's rule, whatever
+    # [reference] says: sample measures against its steady state
+    for reference in REFERENCE_KINDS:
+        text = base_config(reference=f"kind = {reference}")
+        assert main(["sample", "--config", write_config(tmp_path, text), "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and "[velocity]" in line
 
 
 def test_sample_reports_every_broken_rule(tmp_path, capsys):
@@ -651,12 +656,49 @@ def test_sample_reports_every_broken_rule(tmp_path, capsys):
         particles="n = 8\ninit = rejection",
         reference="kind = none",
     )
+    dimension = (
+        "config error: [reference] kind = steady_state requires [family] dimension 1 or 2 "
+        "(got 3): W1 to a density, the steady state that sample measures against "
+        "included, is measured in d = 1 and 2 only"
+    )
     assert main(["sample", "--config", write_config(tmp_path, text), "--quiet"]) == 2
     assert capsys.readouterr().err.splitlines() == [
+        "config error: [reference] kind = steady_state, the steady state that sample "
+        "measures against, requires a confining [velocity]: kind = quadratic",
+        dimension,
         "config error: run and sample take a single epsilon; got 2 "
         "(use the converge subcommand for a list)",
-        "config error: sample requires [velocity] kind = quadratic",
-        "config error: sample measures W1 in dimension 1 or 2 only (got 3)",
+    ]
+    # one message per cause, whatever [reference] says
+    for reference in REFERENCE_KINDS:
+        text = base_config(
+            family="kind = heat\ndimension = 3",
+            particles="n = 8\ninit = rejection",
+            velocity="kind = quadratic",
+            reference=f"kind = {reference}",
+        )
+        assert main(["sample", "--config", write_config(tmp_path, text), "--quiet"]) == 2
+        assert capsys.readouterr().err.splitlines() == [dimension]
+
+
+def test_sample_runs_its_steady_state_whatever_reference_says(tmp_path, capsys):
+    # a self_similar reference is refused under a drift, but sample never
+    # reads it: it measures against its steady state, and echoes that
+    text = base_config(
+        velocity="kind = quadratic",
+        initial="kind = heat_kernel",
+        reference="kind = self_similar",
+    )
+    path, out = write_config(tmp_path, text), tmp_path / "sample"
+    assert main(["sample", "--config", path, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["reference"]["kind"] == "steady_state"
+    # but a value it cannot read is still reported
+    path = write_config(tmp_path, text.replace("kind = self_similar", "kind = foo"))
+    assert main(["sample", "--config", path, "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: [reference] kind = 'foo'; expected one of none, self_similar, "
+        "steady_state, gaussian"
     ]
 
 
