@@ -271,7 +271,7 @@ def _command_rules(command: str, v: dict, bad: set, errors: list) -> None:
     d, eps = v["dimension"], v["epsilons"]
     if bad.isdisjoint(("family_kind", "m", "dimension")):
         try:
-            EnergyFamily(v["family_kind"], v["m"], d)
+            EnergyFamily(v["family_kind"], v["m"]).check_dimension(d)
         except ValueError as exc:
             errors.append(f"[family] {exc}")
     if bad.isdisjoint(("beta", "effective_r", "dimension")):
@@ -380,7 +380,7 @@ def build_runspec(cfg: SimConfig, epsilon: float):
     from .mollifier import MollifierKernel
     from .reference import DeltaSchedule
 
-    family = EnergyFamily(cfg.family_kind, cfg.m, cfg.dimension)
+    family = EnergyFamily(cfg.family_kind, cfg.m)
     if cfg.kernel_kind == "gaussian":
         kernel = MollifierKernel.gaussian(epsilon)
     else:

@@ -39,49 +39,49 @@ class ConvergenceError(RuntimeError):
 class EnergyFamily:
     """One admissible internal-energy density f on [0, inf).
 
-    kind            one of heat, porous_medium, fast_diffusion, height_constraint
-    m               exponent for the power-law families, None otherwise
-    dimension_hint  ambient dimension, used to validate fast-diffusion exponents
+    kind  one of heat, porous_medium, fast_diffusion, height_constraint
+    m     exponent: > 1 for porous_medium, in (0, 1) for fast_diffusion, else None
     """
 
     kind: str
     m: float | None = None
-    dimension_hint: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown energy family kind {self.kind!r}")
-        d = self.dimension_hint
-        if not (isinstance(d, int) and d >= 1):
-            raise ValueError("dimension_hint must be a positive integer")
         if self.kind in (HEAT, HEIGHT_CONSTRAINT):
             if self.m is not None:
                 raise ValueError(f"{self.kind} takes no exponent")
         elif self.kind == POROUS_MEDIUM:
             if self.m is None or not self.m > 1.0:
                 raise ValueError("porous_medium requires m > 1")
-        else:
-            lo = 1.0 - 2.0 / (d + 2.0)
-            if self.m is None or not (lo < self.m < 1.0):
-                raise ValueError(
-                    f"fast_diffusion requires m in ({lo}, 1) for d={d}"
-                )
+        elif self.m is None or not 0.0 < self.m < 1.0:
+            raise ValueError("fast_diffusion requires m in (0, 1)")
+
+    def check_dimension(self, d: int) -> None:
+        """Refuse a flow in dimension d unless d is a positive integer and a
+        fast-diffusion m exceeds 1 - 2/(d + 2); whoever knows d calls this."""
+        if not (isinstance(d, int) and d >= 1):
+            raise ValueError("dimension must be a positive integer")
+        lo = 1.0 - 2.0 / (d + 2.0)
+        if self.kind == FAST_DIFFUSION and not self.m > lo:
+            raise ValueError(f"fast_diffusion requires m in ({lo}, 1) for d={d}")
 
     @staticmethod
-    def heat(dimension_hint: int = 1) -> "EnergyFamily":
-        return EnergyFamily(HEAT, None, dimension_hint)
+    def heat() -> "EnergyFamily":
+        return EnergyFamily(HEAT)
 
     @staticmethod
-    def porous_medium(m: float, dimension_hint: int = 1) -> "EnergyFamily":
-        return EnergyFamily(POROUS_MEDIUM, float(m), dimension_hint)
+    def porous_medium(m: float) -> "EnergyFamily":
+        return EnergyFamily(POROUS_MEDIUM, float(m))
 
     @staticmethod
-    def fast_diffusion(m: float, dimension_hint: int = 1) -> "EnergyFamily":
-        return EnergyFamily(FAST_DIFFUSION, float(m), dimension_hint)
+    def fast_diffusion(m: float) -> "EnergyFamily":
+        return EnergyFamily(FAST_DIFFUSION, float(m))
 
     @staticmethod
-    def height_constraint(dimension_hint: int = 1) -> "EnergyFamily":
-        return EnergyFamily(HEIGHT_CONSTRAINT, None, dimension_hint)
+    def height_constraint() -> "EnergyFamily":
+        return EnergyFamily(HEIGHT_CONSTRAINT)
 
 
 @dataclass(frozen=True)

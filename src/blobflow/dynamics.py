@@ -243,16 +243,15 @@ class VelocityConfig:
 
 
 def lipschitz_estimate(
-    reg: RegularizedEnergy, k: MollifierKernel, velocity_w1inf: float = 0.0
+    reg: RegularizedEnergy, k: MollifierKernel, d: int, velocity_w1inf: float = 0.0
 ) -> float:
-    """Stability constant of the regularized velocity field:
+    """Stability constant of the regularized velocity field in d dimensions:
 
     C = 2 |v|_W1inf + |grad phi|_W11 (Lip(f_reg') |phi|_inf + f_reg'(0)).
 
     The f_reg'(0) term enters with its sign. Kernel norms are cached per
-    (kernel, d); d comes from the family's dimension hint.
+    (kernel, d); run passes its cloud's d.
     """
-    d = reg.family.dimension_hint
     norms = kernel_norms(k, d)
     return 2.0 * velocity_w1inf + norms.grad_w11 * (
         reg.lipschitz_of_derivative * norms.sup + reg.derivative_at_zero
@@ -354,8 +353,8 @@ class DiagnosticsRecord:
 @dataclass(frozen=True)
 class RunSpec:
     """Everything dynamics.run needs; cli builds one per experiment. The
-    family's dimension_hint is the d of the stability constant, and so of
-    the auto step: it must be the cloud's dimension."""
+    run's d is its cloud's: the family must admit it, and it is the d of the
+    stability constant and so of the auto step."""
 
     reg: RegularizedEnergy
     kernel: MollifierKernel
@@ -380,9 +379,7 @@ class RunSpec:
             raise ValueError("dt must be positive (or None for auto)")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        hint, d = self.reg.family.dimension_hint, self.initial.dim
-        if hint != d:
-            raise ValueError(f"the family's dimension_hint {hint} is not the cloud's dimension {d}")
+        self.reg.family.check_dimension(self.initial.dim)
 
 
 @dataclass(frozen=True)
@@ -398,14 +395,14 @@ class SimState:
 @dataclass
 class Trajectory:
     """The diagnostics records of a run and its last cloud; callers that
-    want every recorded cloud collect them through run's on_record. The
-    records carry t and the dissipation rate, so they are the history the
-    dissipation residual integrates over."""
+    want every recorded cloud collect them through run's on_record, and the
+    trapezoid terms of the dissipation residual, one per pair of records."""
 
     records: list[DiagnosticsRecord] = field(default_factory=list)
     final: Optional[ParticleEnsemble] = None
     c_eps: float = 0.0
     dt: float = 0.0
+    dissipation_terms: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _stage(spec: RunSpec, positions: np.ndarray, grid: Optional[QuadratureGrid]):
@@ -483,8 +480,8 @@ def _dissipation_rate(state: SimState) -> float:
 
 
 def _record(state: SimState, trajectory: Trajectory, on_record=None) -> None:
-    """Append one record. Its diss_residual is dissipation_residual over
-    the records so far and this one."""
+    """Append one record. Its diss_residual has the bits of dissipation_residual
+    over the records so far and this one: it sums the same trapezoid terms."""
     spec = state.spec
     t = state.ensemble.time
     w1 = None
@@ -501,7 +498,11 @@ def _record(state: SimState, trajectory: Trajectory, on_record=None) -> None:
         w1_to_reference=w1,
         dissipation_rate=_dissipation_rate(state),
     )
-    rec = replace(rec, diss_residual=dissipation_residual([*trajectory.records, rec]))
+    if trajectory.records:
+        first, prev = trajectory.records[0], trajectory.records[-1]
+        term = (rec.t - prev.t) * (rec.dissipation_rate + prev.dissipation_rate) / 2.0
+        terms = trajectory.dissipation_terms = np.append(trajectory.dissipation_terms, term)
+        rec = replace(rec, diss_residual=float(rec.f_eps - first.f_eps + terms.sum()))
     trajectory.records.append(rec)
     trajectory.final = state.ensemble
     if on_record is not None:
@@ -521,7 +522,7 @@ def run(spec: RunSpec, on_record=None) -> Trajectory:
     stride = max(1, spec.initial.n // 256)
     probes = spec.initial.positions[::stride]
     vbound = spec.velocity.estimate_w1inf(probes)
-    c_eps = lipschitz_estimate(spec.reg, spec.kernel, velocity_w1inf=vbound)
+    c_eps = lipschitz_estimate(spec.reg, spec.kernel, spec.initial.dim, velocity_w1inf=vbound)
 
     if spec.dt is not None:
         dt = spec.dt

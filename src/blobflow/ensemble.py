@@ -93,11 +93,9 @@ class ReferenceDensity:
     pdf maps (n, d) points to (n,) values; cdf maps (n,) abscissae to (n,)
     in one dimension, and a d=1 density given without one gets numeric_cdf(),
     tabulated once here. box = (lo, hi) arrays of length d and should capture
-    essentially all of the mass; metrics integrate over it.
+    essentially all of the mass; metrics integrate over it. d is the box's.
     """
 
-    name: str
-    dim: int
     pdf: Callable[[np.ndarray], np.ndarray]
     box: tuple[np.ndarray, np.ndarray]
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -105,13 +103,17 @@ class ReferenceDensity:
     def __post_init__(self) -> None:
         lo = np.atleast_1d(np.asarray(self.box[0], dtype=float))
         hi = np.atleast_1d(np.asarray(self.box[1], dtype=float))
-        if lo.shape != (self.dim,) or hi.shape != (self.dim,):
-            raise ValueError("box endpoints must have shape (d,)")
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("box endpoints must be 1-d arrays of one shape (d,)")
         if not (hi > lo).all():
             raise ValueError("box must have positive extent")
         object.__setattr__(self, "box", (lo, hi))
         if self.dim == 1 and self.cdf is None:
             object.__setattr__(self, "cdf", self.numeric_cdf())
+
+    @property
+    def dim(self) -> int:
+        return len(self.box[0])
 
     def numeric_cdf(self, resolution: int = 8192) -> Callable[[np.ndarray], np.ndarray]:
         """Tabulated CDF from the pdf (d=1): cumulative trapezoid + interp."""

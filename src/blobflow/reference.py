@@ -112,8 +112,9 @@ def barenblatt_constant(m: float, d: int) -> float:
 
 
 def _check_barenblatt_m(m: float, d: int) -> None:
-    """The profile exists for the porous-medium and fast-diffusion exponents."""
-    EnergyFamily(POROUS_MEDIUM if m > 1.0 else FAST_DIFFUSION, float(m), d)
+    """The profile exists for the porous-medium and fast-diffusion exponents
+    that the flow admits in d dimensions."""
+    EnergyFamily(POROUS_MEDIUM if m > 1.0 else FAST_DIFFUSION, float(m)).check_dimension(d)
 
 
 def barenblatt(m: float, d: int, t: float, x) -> np.ndarray:
@@ -260,13 +261,7 @@ def barenblatt_reference(m: float, d: int, t: float) -> ReferenceDensity:
                 frac = _half_beta(-p - 0.5, u * u / (1.0 + u * u))
             return 0.5 * (1.0 + np.sign(u) * frac)
 
-    return ReferenceDensity(
-        name=f"self_similar(m={m}, t={t})",
-        dim=d,
-        pdf=lambda pts: barenblatt(m, d, t, pts),
-        box=(lo, hi),
-        cdf=cdf,
-    )
+    return ReferenceDensity(pdf=lambda pts: barenblatt(m, d, t, pts), box=(lo, hi), cdf=cdf)
 
 
 def gaussian_reference(d: int, sigma: float, center: float = 0.0) -> ReferenceDensity:
@@ -287,9 +282,7 @@ def gaussian_reference(d: int, sigma: float, center: float = 0.0) -> ReferenceDe
             xs = np.asarray(xs, dtype=float)
             return 0.5 * (1.0 + _erf((xs - center) / (sigma * math.sqrt(2.0))))
 
-    return ReferenceDensity(
-        name=f"gaussian(sigma={sigma})", dim=d, pdf=pdf, box=(lo, hi), cdf=cdf
-    )
+    return ReferenceDensity(pdf=pdf, box=(lo, hi), cdf=cdf)
 
 
 def uniform_reference(d: int, half_width: float, center: float = 0.0) -> ReferenceDensity:
@@ -311,9 +304,7 @@ def uniform_reference(d: int, half_width: float, center: float = 0.0) -> Referen
             xs = np.asarray(xs, dtype=float)
             return np.clip((xs - lo[0]) / (2.0 * half_width), 0.0, 1.0)
 
-    return ReferenceDensity(
-        name=f"uniform(w={half_width})", dim=d, pdf=pdf, box=(lo, hi), cdf=cdf
-    )
+    return ReferenceDensity(pdf=pdf, box=(lo, hi), cdf=cdf)
 
 
 def base_conjugate_prime(family: EnergyFamily, b):
@@ -417,5 +408,5 @@ def steady_state(
             rho = base_conjugate_prime(family, z - np.asarray(potential(query)))
         return np.where(np.isfinite(rho), rho, 0.0)
 
-    ref = ReferenceDensity(name=f"steady({family.kind})", dim=d, pdf=pdf, box=(lo, hi))
+    ref = ReferenceDensity(pdf=pdf, box=(lo, hi))
     return SteadyState(z=z, reference=ref)

@@ -289,7 +289,7 @@ def _regularized_equilibrium(reg, resolution):
         return np.asarray(reg_conjugate_derivative(reg, z - v))
 
     box = (np.array([lo]), np.array([hi]))
-    return ReferenceDensity(f"rho_delta(delta={reg.delta:.3g})", 1, pdf, box)
+    return ReferenceDensity(pdf, box)
 
 
 def _regularized_heat_flow(reg, t0, t_final, cells=400, half_width=4.0):
@@ -319,7 +319,7 @@ def _regularized_heat_flow(reg, t0, t_final, cells=400, half_width=4.0):
         return np.interp(xs, edges, cum / cum[-1], left=0.0, right=1.0)
 
     box = (edges[:1], edges[-1:])
-    return ReferenceDensity(f"fv(delta={reg.delta:.3g})", 1, pdf, box, cdf)
+    return ReferenceDensity(pdf, box, cdf)
 
 
 def _pressure_mass(reg, ref, resolution=8192):

@@ -378,12 +378,19 @@ def test_h1_quadrature_definition_vs_slope_integral():
 def test_family_validation():
     with pytest.raises(ValueError):
         EnergyFamily.porous_medium(1.0)
-    with pytest.raises(ValueError):
-        EnergyFamily.fast_diffusion(0.2)  # below 1 - 2/(d+2) = 1/3 for d=1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"fast_diffusion requires m in \(0, 1\)"):
         EnergyFamily.fast_diffusion(1.0)
-    EnergyFamily.fast_diffusion(0.6, dimension_hint=2)
-    with pytest.raises(ValueError):
-        EnergyFamily.fast_diffusion(0.5, dimension_hint=2)  # bound is exclusive
+    with pytest.raises(ValueError, match=r"fast_diffusion requires m in \(0, 1\)"):
+        EnergyFamily.fast_diffusion(0.0)
+    # the d-dependent floor 1 - 2/(d + 2) is checked by whoever knows d
+    with pytest.raises(ValueError, match=r"m in \(0.33333333333333337, 1\) for d=1"):
+        EnergyFamily.fast_diffusion(0.2).check_dimension(1)
+    EnergyFamily.fast_diffusion(0.6).check_dimension(2)
+    with pytest.raises(ValueError, match=r"m in \(0.5, 1\) for d=2"):
+        EnergyFamily.fast_diffusion(0.5).check_dimension(2)  # bound is exclusive
+    EnergyFamily.heat().check_dimension(3)
+    for d in (0, 1.0, None):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            EnergyFamily.heat().check_dimension(d)
     with pytest.raises(ValueError):
         RegularizedEnergy(family=HEAT, delta=0.0)

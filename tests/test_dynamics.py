@@ -36,8 +36,8 @@ from blobflow.dynamics import (
 )
 
 
-def heat_reg(epsilon: float, d: int = 1) -> RegularizedEnergy:
-    return RegularizedEnergy(EnergyFamily.heat(d), epsilon**0.5)
+def heat_reg(epsilon: float) -> RegularizedEnergy:
+    return RegularizedEnergy(EnergyFamily.heat(), epsilon**0.5)
 
 
 def gaussian_cloud(n: int = 64, seed: int = 0) -> ParticleEnsemble:
@@ -287,7 +287,7 @@ def test_a_released_window_is_rebuilt_with_the_same_bits(kind, d):
     else:
         k = MollifierKernel.bump(0.3)
     spec = RunSpec(
-        reg=heat_reg(0.2, d), kernel=k, velocity=VelocityConfig(), initial=init, t_final=0.01
+        reg=heat_reg(0.2), kernel=k, velocity=VelocityConfig(), initial=init, t_final=0.01
     )
     state = make_state(spec, init)
     assert state.fields.window is None
@@ -362,8 +362,8 @@ def test_lipschitz_estimate_formula():
     expected = norms.grad_w11 * (
         reg.lipschitz_of_derivative * norms.sup + reg.derivative_at_zero
     )
-    assert lipschitz_estimate(reg, k) == pytest.approx(expected, rel=1e-12)
-    assert lipschitz_estimate(reg, k, velocity_w1inf=3.0) == pytest.approx(
+    assert lipschitz_estimate(reg, k, 1) == pytest.approx(expected, rel=1e-12)
+    assert lipschitz_estimate(reg, k, 1, velocity_w1inf=3.0) == pytest.approx(
         expected + 6.0, rel=1e-12
     )
 
@@ -394,7 +394,7 @@ def test_stages_never_build_the_node_array(d):
     # is built when a diagnostic reads it
     init = ParticleEnsemble(np.random.default_rng(d).normal(size=(16, d)))
     spec = RunSpec(
-        reg=heat_reg(0.2, d),
+        reg=heat_reg(0.2),
         kernel=MollifierKernel.gaussian(0.2),
         velocity=VelocityConfig.quadratic(),
         initial=init,
@@ -444,10 +444,28 @@ def test_runspec_validation():
         dataclasses.replace(spec, dt=0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(spec, record_every=0)
-    # the stability constant, and the auto step, take d from the family
-    plane = ParticleEnsemble(np.zeros((1, 2)))
-    with pytest.raises(ValueError, match="dimension_hint 1 is not the cloud's dimension 2"):
-        dataclasses.replace(spec, initial=plane)
+
+
+def test_a_run_takes_its_dimension_from_its_cloud():
+    # one family serves every d; the stability constant, and so the auto
+    # step, use the cloud's d, and the cloud's d sets the fast-diffusion floor
+    plane = ParticleEnsemble(np.random.default_rng(2).normal(size=(16, 2)))
+    spec = RunSpec(
+        reg=heat_reg(0.2),
+        kernel=MollifierKernel.gaussian(0.2),
+        velocity=VelocityConfig.quadratic(),
+        initial=plane,
+        t_final=0.0,
+    )
+    traj = run(spec)
+    vbound = spec.velocity.estimate_w1inf(plane.positions)
+    assert traj.c_eps == lipschitz_estimate(spec.reg, spec.kernel, 2, velocity_w1inf=vbound)
+    assert traj.c_eps != lipschitz_estimate(spec.reg, spec.kernel, 1, velocity_w1inf=vbound)
+    assert traj.dt == 0.5 / traj.c_eps
+    fast = RegularizedEnergy(EnergyFamily.fast_diffusion(0.5), 0.2**0.5)
+    with pytest.raises(ValueError, match=r"fast_diffusion requires m in \(0.5, 1\) for d=2"):
+        dataclasses.replace(spec, reg=fast)
+    dataclasses.replace(spec, reg=fast, initial=gaussian_cloud(16))  # d = 1 admits m = 0.5
 
 
 def test_zero_horizon_run_records_the_initial_state():
@@ -462,7 +480,10 @@ def test_auto_dt_uses_the_stability_constant():
     spec = single_particle_spec(RK4, None, 0.0)
     traj = run(spec)
     c = lipschitz_estimate(
-        spec.reg, spec.kernel, velocity_w1inf=spec.velocity.estimate_w1inf(spec.initial.positions)
+        spec.reg,
+        spec.kernel,
+        1,
+        velocity_w1inf=spec.velocity.estimate_w1inf(spec.initial.positions),
     )
     assert traj.c_eps == pytest.approx(c, rel=1e-6)
     assert traj.dt == pytest.approx(0.5 / traj.c_eps, rel=1e-12)

@@ -71,9 +71,7 @@ def test_quantile_initialization_is_low_discrepancy():
 def test_quantile_needs_one_dimension():
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     ref = ReferenceDensity(
-        name="flat2d",
-        dim=2,
-        pdf=lambda p: np.full(p.shape[0], 0.25),
+                pdf=lambda p: np.full(p.shape[0], 0.25),
         box=box,
     )
     with pytest.raises(ValueError):
@@ -104,9 +102,7 @@ def test_w1_vs_density_2d_sinkhorn_sanity():
     rng = np.random.default_rng(4)
     box = (np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
     ref = ReferenceDensity(
-        name="normal2",
-        dim=2,
-        pdf=lambda p: np.exp(-0.5 * (p**2).sum(axis=1)) / (2 * np.pi),
+                pdf=lambda p: np.exp(-0.5 * (p**2).sum(axis=1)) / (2 * np.pi),
         box=box,
     )
     base = rng.normal(size=(256, 2))
@@ -118,9 +114,7 @@ def test_w1_vs_density_2d_sinkhorn_sanity():
 
 
 NORMAL2 = ReferenceDensity(
-    name="normal2",
-    dim=2,
-    pdf=lambda p: np.exp(-0.5 * (p**2).sum(axis=1)) / (2 * np.pi),
+        pdf=lambda p: np.exp(-0.5 * (p**2).sum(axis=1)) / (2 * np.pi),
     box=(np.full(2, -4.0), np.full(2, 4.0)),
 )
 
@@ -202,7 +196,7 @@ FAINT_BOX = (np.full(2, -22.0), np.full(2, 22.0))
 
 def _faint_atoms():
     """A standard normal on +-22, on 16 x 16 atoms."""
-    return _grid_atoms_2d(ReferenceDensity(name="far", dim=2, pdf=NORMAL2.pdf, box=FAINT_BOX), 16)
+    return _grid_atoms_2d(ReferenceDensity(pdf=NORMAL2.pdf, box=FAINT_BOX), 16)
 
 
 @pytest.mark.parametrize("eta, absorbs", [(None, False), (0.1, True)])
@@ -312,7 +306,7 @@ def test_w1_vs_density_2d_independent_of_thread_count():
         "from blobflow.ensemble import ParticleEnsemble, ReferenceDensity, w1_vs_density\n"
         "box = (np.full(2, -4.0), np.full(2, 4.0))\n"
         "pdf = lambda p: np.exp(-0.5 * (p**2).sum(axis=1))\n"
-        "ref = ReferenceDensity(name='normal2', dim=2, pdf=pdf, box=box)\n"
+        "ref = ReferenceDensity(pdf=pdf, box=box)\n"
         "for n in (128, 150):\n"
         "    xs = np.random.default_rng(3).normal(size=(n, 2))\n"
         "    print(repr(w1_vs_density(ParticleEnsemble(xs), ref, resolution=256)))\n"
@@ -387,9 +381,7 @@ def test_rejection_stalls_on_needle_density():
     # support so narrow that no probe point ever sees positive density
     box = (np.array([-1.0]), np.array([1.0]))
     needle = ReferenceDensity(
-        name="needle",
-        dim=1,
-        pdf=lambda p: np.where(np.abs(p[:, 0] - 0.123456789) < 1e-9, 1e9, 0.0),
+                pdf=lambda p: np.where(np.abs(p[:, 0] - 0.123456789) < 1e-9, 1e9, 0.0),
         box=box,
     )
     with pytest.raises(RejectionStallError):
@@ -412,7 +404,7 @@ def test_a_reference_without_a_cdf_carries_the_tabulated_one():
     # quantile cloud and W1 through it keep the bits of the numeric_cdf()
     # each of them used to tabulate on its own
     gauss = gaussian_reference(1, 1.0)
-    ref = ReferenceDensity("bare", 1, gauss.pdf, gauss.box)
+    ref = ReferenceDensity(gauss.pdf, gauss.box)
     tabulated = ref.numeric_cdf()
     xs = np.linspace(-12.0, 12.0, 1001)
     np.testing.assert_array_equal(ref.cdf(xs), tabulated(xs))
@@ -423,7 +415,18 @@ def test_a_reference_without_a_cdf_carries_the_tabulated_one():
     grid = np.linspace(-10.0 - 1e-9, 10.0 + 1e-9, 4096)
     f_emp = np.searchsorted(xs_sorted, grid, side="right") / e.n
     assert w1_vs_density(e, ref) == float(np.trapezoid(np.abs(f_emp - tabulated(grid)), grid))
-    assert ReferenceDensity("bare2d", 2, gauss.pdf, (-np.ones(2), np.ones(2))).cdf is None
+    assert ReferenceDensity(gauss.pdf, (-np.ones(2), np.ones(2))).cdf is None
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_reference_takes_its_dimension_from_its_box(d):
+    box = (-np.ones(d), np.ones(d))
+    ref = ReferenceDensity(lambda p: np.full(p.shape[0], 0.5**d), box)
+    assert ref.dim == len(box[0]) == d
+    message = r"box endpoints must be 1-d arrays of one shape \(d,\)"
+    for lo, hi in ((-np.ones(d), np.ones(d + 1)), (-np.ones((d, 1)), np.ones((d, 1)))):
+        with pytest.raises(ValueError, match=message):
+            ReferenceDensity(ref.pdf, (lo, hi))
 
 
 def test_snapshot_roundtrip_and_header(tmp_path):
